@@ -330,7 +330,8 @@ def _cmd_edfu(args) -> None:
     quad = geometry.SideQuad(*sides)
     area = geometry.edfu_area(quad)
     split = geometry.edfu_area_via_diagonal_split(quad)
-    assert split == area
+    if split != area:
+        raise RuntimeError(f"edfu area {area} disagrees with its diagonal-split check {split}")
     _emit(
         args,
         str(area),

@@ -38,7 +38,7 @@ class CorpusFormatError(ValueError):
 class CorpusProblem:
     id: str
     category: str
-    inputs: dict
+    inputs: dict  # field name -> value typed at load: Fraction, int, list of Fraction or str
     scribal_answer: Fraction | None
     scribal_answer_text: str | None
     source_note: str
@@ -55,8 +55,7 @@ class ReplayVerdict:
     note: str = ""
 
 
-def _rat(inputs: dict, field: str, problem_id: str) -> Fraction:
-    value = inputs[field]
+def _rat(value: object, field: str, problem_id: str) -> Fraction:
     try:
         if isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
@@ -69,56 +68,43 @@ def _rat(inputs: dict, field: str, problem_id: str) -> Fraction:
     )
 
 
-def _int(inputs: dict, field: str, problem_id: str) -> int:
-    value = inputs[field]
+def _int(value: object, field: str, problem_id: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise CorpusFormatError(f"problem {problem_id!r}: field {field!r} must be an integer")
     return value
 
 
+# The compute functions read the values typed and checked at load.
+
+
 def _compute_two_over_n(p: CorpusProblem) -> Fraction:
-    n = _int(p.inputs, "n", p.id)
-    return arith.decompose(Fraction(2, n), arith.TABLE_POLICY).value()
+    return arith.decompose(Fraction(2, p.inputs["n"]), arith.TABLE_POLICY).value()
 
 
 def _compute_loaf_division(p: CorpusProblem) -> Fraction:
-    return arith.divide_loaves(_int(p.inputs, "loaves", p.id), _int(p.inputs, "men", p.id)).value()
+    return arith.divide_loaves(p.inputs["loaves"], p.inputs["men"]).value()
 
 
 def _compute_sequem(p: CorpusProblem) -> Fraction:
-    mode = p.inputs["mode"]
-    if mode not in (arith.ADDITIVE, arith.MULTIPLICATIVE):
-        raise CorpusFormatError(f"problem {p.id!r}: field 'mode' must be additive or multiplicative")
-    return arith.sequem_complete(_rat(p.inputs, "given", p.id), _rat(p.inputs, "target", p.id), mode)
-
-
-def _hau_problem(p: CorpusProblem) -> equations.HauProblem:
-    raw = p.inputs["multiplier"]
-    terms = raw if isinstance(raw, list) else [raw]
-    parsed = [_rat({"t": t}, "t", p.id) for t in terms]
-    return equations.HauProblem.from_terms(parsed, _rat(p.inputs, "target", p.id))
+    return arith.sequem_complete(p.inputs["given"], p.inputs["target"], p.inputs["mode"])
 
 
 def _compute_hau(p: CorpusProblem) -> Fraction:
-    return equations.solve_hau(_hau_problem(p))
+    problem = equations.HauProblem.from_terms(p.inputs["multiplier"], p.inputs["target"])
+    return equations.solve_hau(problem)
 
 
 def _compute_tunnu(p: CorpusProblem) -> Fraction:
     shares = equations.arithmetic_shares(
-        _int(p.inputs, "term_count", p.id),
-        _rat(p.inputs, "total", p.id),
-        _rat(p.inputs, "difference", p.id),
+        p.inputs["term_count"], p.inputs["total"], p.inputs["difference"]
     )
     return shares[0]  # the smallest share is the one the texts quote
 
 
 def _compute_progression(p: CorpusProblem) -> Fraction:
-    count = _int(p.inputs, "term_count", p.id)
-    first = _rat(p.inputs, "first_term", p.id)
-    diff = _rat(p.inputs, "difference", p.id)
+    count, first, diff = p.inputs["term_count"], p.inputs["first_term"], p.inputs["difference"]
     total = count * first + Fraction(count * (count - 1), 2) * diff
-    shares = equations.arithmetic_shares(count, total, diff)
-    assert shares[0] == first
+    equations.arithmetic_shares(count, total, diff)  # rejects a term count below one
     return total
 
 
@@ -140,29 +126,20 @@ _AREA_SHAPES = {
 
 
 def _compute_area(p: CorpusProblem) -> Fraction:
-    shape = p.inputs.get("shape")
-    if shape not in _AREA_SHAPES:
-        raise CorpusFormatError(
-            f"problem {p.id!r}: field 'shape' must be one of {sorted(_AREA_SHAPES)}"
-        )
-    fields, fn = _AREA_SHAPES[shape]
-    return fn({f: _rat(p.inputs, f, p.id) for f in fields})
+    _, fn = _AREA_SHAPES[p.inputs["shape"]]
+    return fn(p.inputs)
 
 
 def _compute_volume(p: CorpusProblem) -> Fraction:
-    return geometry.granary_volume(_rat(p.inputs, "floor_area", p.id), _rat(p.inputs, "length", p.id))
+    return geometry.granary_volume(p.inputs["floor_area"], p.inputs["length"])
 
 
 def _compute_seked(p: CorpusProblem) -> Fraction:
-    parts = _int(p.inputs, "parts", p.id) if "parts" in p.inputs else 7
-    return geometry.seked_from(_rat(p.inputs, "base", p.id), _rat(p.inputs, "height", p.id), parts)
+    return geometry.seked_from(p.inputs["base"], p.inputs["height"], p.inputs.get("parts", 7))
 
 
 def _compute_ladder(p: CorpusProblem) -> Fraction:
-    ladder = equations.geometric_ladder(
-        _int(p.inputs, "base", p.id), _int(p.inputs, "top_exponent", p.id)
-    )
-    return Fraction(ladder.total)
+    return Fraction(equations.geometric_ladder(p.inputs["base"], p.inputs["top_exponent"]).total)
 
 
 _CATEGORY_COMPUTE: dict[str, Callable[[CorpusProblem], Fraction]] = {
@@ -195,8 +172,8 @@ _INPUT_KINDS: dict[str, dict[str, str]] = {
 _OPTIONAL_FIELDS = {"seked": ("parts",)}
 
 
-def _validate_inputs(pid: str, category: str, inputs: dict) -> None:
-    # category fixes the field names and kinds; everything parses at load,
+def _validate_inputs(pid: str, category: str, inputs: dict) -> dict:
+    # category fixes the field names and kinds; everything parses here, once,
     # so replay can only fail on engine-level value rejections
     if category == "area":
         shape = inputs.get("shape")
@@ -213,22 +190,25 @@ def _validate_inputs(pid: str, category: str, inputs: dict) -> None:
     for f in kinds:
         if f not in inputs and f not in optional:
             raise CorpusFormatError(f"problem {pid!r}: category {category!r} needs field {f!r}")
+    values: dict[str, object] = {}
     for f, value in inputs.items():
         kind = kinds.get(f)
         if kind is None:
             raise CorpusFormatError(f"problem {pid!r}: unexpected field {f!r} for {category!r}")
         if kind == "rational":
-            _rat(inputs, f, pid)
+            value = _rat(value, f, pid)
         elif kind == "int":
-            _int(inputs, f, pid)
+            value = _int(value, f, pid)
         elif kind == "mode":
             if value not in (arith.ADDITIVE, arith.MULTIPLICATIVE):
                 raise CorpusFormatError(
                     f"problem {pid!r}: field 'mode' must be additive or multiplicative"
                 )
         elif kind == "terms":
-            for term in value if isinstance(value, list) else [value]:
-                _rat({"term": term}, "term", pid)
+            terms = value if isinstance(value, list) else [value]
+            value = [_rat(term, "term", pid) for term in terms]
+        values[f] = value
+    return values
 
 
 def load_corpus(document: str) -> list[CorpusProblem]:
@@ -263,7 +243,7 @@ def load_corpus(document: str) -> list[CorpusProblem]:
         inputs = raw.get("inputs")
         if not isinstance(inputs, dict):
             raise CorpusFormatError(f"problem {pid!r}: 'inputs' must be an object")
-        _validate_inputs(pid, category, inputs)
+        values = _validate_inputs(pid, category, inputs)
         answer_text = raw.get("scribal_answer")
         answer: Fraction | None = None
         if answer_text is not None:
@@ -278,7 +258,7 @@ def load_corpus(document: str) -> list[CorpusProblem]:
         note = raw.get("source_note", "")
         if not isinstance(note, str):
             raise CorpusFormatError(f"problem {pid!r}: 'source_note' must be a string")
-        problems.append(CorpusProblem(pid, category, dict(inputs), answer, answer_text, note))
+        problems.append(CorpusProblem(pid, category, values, answer, answer_text, note))
     return problems
 
 
@@ -301,7 +281,7 @@ def replay(problem: CorpusProblem) -> ReplayVerdict:
     compute = _CATEGORY_COMPUTE[problem.category]
     try:
         engine_value = compute(problem)
-    except Exception as exc:  # engine errors become a verdict, not an abort
+    except (ValueError, ArithmeticError) as exc:  # a value the engine rejects is a verdict
         return ReplayVerdict(problem.id, problem.category, ENGINE_ERROR, None, problem.scribal_answer, None, str(exc))
     if problem.scribal_answer is None:
         return ReplayVerdict(problem.id, problem.category, NO_RECORDED_ANSWER, engine_value, None, None)

@@ -21,7 +21,6 @@ from .rational import as_rational
 # 50 decimal digits of pi; lower bound by truncation.
 _PI_DIGITS = "314159265358979323846264338327950288419716939937510"
 PI_LOWER = Fraction(int(_PI_DIGITS), 10 ** (len(_PI_DIGITS) - 1))
-PI_UPPER = Fraction(int(_PI_DIGITS) + 1, 10 ** (len(_PI_DIGITS) - 1))
 
 # Working precision for square-root bounds; far beyond the 12 digits the
 # reports promise, so interval width never masks a genuine inequality.

@@ -21,7 +21,7 @@ Rational = Fraction
 
 TWO_THIRDS = Fraction(2, 3)
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_TERM_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def as_rational(x: int | Fraction) -> Fraction:
@@ -124,15 +124,18 @@ def parse_rational(text: str) -> Fraction:
     tokens = [t.strip() for t in text.strip().split("+")]
     if not tokens or any(not t for t in tokens):
         raise ValueError(f"cannot parse rational from {text!r}")
-    total = Fraction(0)
+    # sum over plain integers; one Fraction, reduced once, at the end
+    num, den = 0, 1
     for tok in tokens:
-        if not _FRACTION_RE.match(tok):
+        m = _TERM_RE.fullmatch(tok)
+        if m is None:
             raise ValueError(f"cannot parse rational term {tok!r} in {text!r}")
-        try:
-            total += Fraction(tok)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
-    return total
+        n, d = m.groups(default="1")
+        n, d = int(n), int(d)
+        if d == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        num, den = num * d + n * den, den * d
+    return Fraction(num, den)
 
 
 def parse_unit_fraction_sum(text: str) -> UnitFractionSum:

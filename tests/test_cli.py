@@ -129,6 +129,12 @@ class TestGeometryCommands:
         code, out, _ = run(capsys, "edfu", "--sides", "3,4,5,0")
         assert code == 0 and out == "8\n"
 
+    def test_edfu_split_disagreement_raises(self, monkeypatch):
+        # the cross-check is a real check, so it also holds under python -O
+        monkeypatch.setattr(geometry, "edfu_area_via_diagonal_split", lambda quad: F(-1))
+        with pytest.raises(RuntimeError, match="diagonal-split"):
+            main(["edfu", "--sides", "3,4,5,0"])
+
     def test_edfu_coords(self, capsys):
         code, out, _ = run(capsys, "edfu", "--coords", "0,0 3,0 3,4", "--format", "json")
         assert code == 0

@@ -123,6 +123,15 @@ class TestReplay:
         assert verdict.engine_value is None
         assert verdict.note
 
+    def test_programming_error_propagates(self, monkeypatch):
+        # only value rejections become engine_error verdicts; a bug is not one
+        def broken(problem):
+            raise TypeError("compute bug")
+
+        monkeypatch.setitem(corpus._CATEGORY_COMPUTE, "hau", broken)
+        with pytest.raises(TypeError, match="compute bug"):
+            replay(load_corpus(make_doc([HAU]))[0])
+
     def test_two_over_n_row_value(self):
         doc = make_doc([
             {"id": "t", "category": "two_over_n", "inputs": {"n": 5}, "scribal_answer": "1/3 + 1/15"}
@@ -172,6 +181,28 @@ class TestStarterCorpus:
         assert summary.status_counts[SCRIBAL_ERROR] == 1
         assert summary.status_counts[NO_RECORDED_ANSWER] == 1
         assert summary.status_counts[ENGINE_ERROR] == 0
+
+    def test_each_field_parsed_once(self, monkeypatch):
+        parsed = []
+        real = corpus.parse_rational
+
+        def counting(text):
+            parsed.append(text)
+            return real(text)
+
+        monkeypatch.setattr(corpus, "parse_rational", counting)
+        expected = []
+        for raw in json.loads(starter_corpus_text())["problems"]:
+            for field, value in raw["inputs"].items():
+                if field not in ("mode", "shape"):
+                    expected += [v for v in (value if isinstance(value, list) else [value])
+                                 if isinstance(v, str)]
+            if "scribal_answer" in raw:
+                expected.append(str(raw["scribal_answer"]))
+        problems = load_starter_corpus()
+        assert sorted(parsed) == sorted(expected) and len(expected) > len(problems)
+        replay_all(problems)
+        assert len(parsed) == len(expected)  # replay parses nothing again
 
     def test_partition_property(self):
         verdicts = replay_all(load_starter_corpus())

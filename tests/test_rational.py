@@ -1,7 +1,8 @@
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scribal.rational import (
@@ -139,3 +140,68 @@ class TestTextForms:
     @given(st.fractions())
     def test_rational_round_trip(self, x):
         assert parse_rational(render_rational(x)) == x
+
+
+_REFERENCE_TERM_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+
+def reference_parse_rational(text: str) -> Fraction:
+    """The earlier parse_rational, which summed ``Fraction(term)`` per term."""
+    tokens = [t.strip() for t in text.strip().split("+")]
+    if not tokens or any(not t for t in tokens):
+        raise ValueError(f"cannot parse rational from {text!r}")
+    total = Fraction(0)
+    for tok in tokens:
+        if not _REFERENCE_TERM_RE.match(tok):
+            raise ValueError(f"cannot parse rational term {tok!r} in {text!r}")
+        try:
+            total += Fraction(tok)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+    return total
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # the exception type and message are what is compared
+        return type(exc), str(exc)
+
+
+_spaces = st.sampled_from(["", " ", "  ", "\t", "\n", "\u3000"])
+_digits = st.text(alphabet="0123456789", min_size=1, max_size=6)  # leading zeros and 0 included
+_well_formed_terms = st.builds(
+    lambda sign, num, den: sign + num + ("" if den is None else "/" + den),
+    st.sampled_from(["", "-", "+"]),
+    _digits,
+    st.none() | _digits,
+)
+_malformed_terms = st.sampled_from(
+    ["", "x", "1/", "/2", "1//2", "1.5", "1/-2", "--1", "1 2", "1 / 2", "1_000", "1e3", "\u00bd",
+     "\u0663", "\u0663/\u0664"]
+) | st.text(alphabet="0123456789/-. x_", max_size=6)
+_terms = _well_formed_terms | _malformed_terms
+
+
+@st.composite
+def _rational_texts(draw):
+    tokens = draw(st.lists(_terms, min_size=1, max_size=5))
+    text = "+".join(draw(_spaces) + tok + draw(_spaces) for tok in tokens)
+    return draw(_spaces) + text + draw(_spaces)
+
+
+class TestParseAgainstReference:
+    @settings(max_examples=600)
+    @given(_rational_texts() | st.text(max_size=12))
+    @example("16 + 1/2 + 1/8")
+    @example(" -007/010 + 0003 ")
+    @example("1/2 + 3/0 + x")
+    @example("x + 3/0")
+    @example("1" * 5000 + "/0")  # over the int() digit limit: raised before the zero denominator
+    def test_same_value_or_same_error(self, text):
+        assert _outcome(parse_rational, text) == _outcome(reference_parse_rational, text)
+
+    @given(st.lists(st.fractions(), min_size=1, max_size=6))
+    def test_multi_term_sums(self, parts):
+        text = " + ".join(render_rational(x) for x in parts)
+        assert parse_rational(text) == sum(parts) == reference_parse_rational(text)
