@@ -85,22 +85,6 @@ DEFAULT_POLICY = DecompositionPolicy()
 TABLE_POLICY = replace(DEFAULT_POLICY, allow_two_thirds=False)
 
 
-def _divisor_count(n: int) -> int:
-    count = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            count *= e + 1
-        d += 1
-    if n > 1:
-        count *= 2
-    return count
-
-
 def _greedy_unit_denominators(f: Fraction) -> list[int]:
     # Sylvester-Fibonacci loop; remainder numerator strictly decreases.
     dens: list[int] = []
@@ -219,7 +203,11 @@ class _BestCandidate:
 
     def offer(self, dens: tuple[int, ...]) -> None:
         largest = dens[-1]
-        key = ((-_divisor_count(largest),) if self.rich else ()) + (largest, dens)
+        if self.rich:
+            divisors = math.prod(e + 1 for e in _factorize_small(largest).values())
+            key = (-divisors, largest, dens)
+        else:
+            key = (largest, dens)
         if self.best is None or key < self.best:
             self.best = key
             self.dens = dens

@@ -57,12 +57,7 @@ def _emit(args, text: str, payload, header=None, rows=None) -> None:
         print(text)
 
 
-def _add_format(parser) -> None:
-    parser.add_argument("--format", choices=FORMATS, default="text")
-
-
-def _add_policy_flags(parser, table_default: bool = False) -> None:
-    base = arith.TABLE_POLICY if table_default else arith.DEFAULT_POLICY
+def _add_policy_flags(parser, base: arith.DecompositionPolicy) -> None:
     parser.add_argument("--strategy", choices=arith.STRATEGIES, default=base.strategy)
     parser.add_argument("--max-terms", type=int, default=base.max_terms)
     parser.add_argument("--max-denominator", type=int, default=base.max_denominator)
@@ -409,142 +404,141 @@ def _cmd_corpus(args) -> None:
     sys.stdout.write(corpus.render_report(verdicts, args.format))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+# One row per subcommand: name, help, its own arguments, the policy whose
+# values the policy flags default to (None: no policy flags), handler.
+# Every subcommand also takes --format, after the policy flags.
+COMMANDS = (
+    ("decompose", "write a rational as a unit-fraction sum", (
+        _arg("value", type=_rational),
+    ), arith.DEFAULT_POLICY, _cmd_decompose),
+    ("table2n", "the 2/n doubling table", (
+        _arg("--max", type=int, default=99),
+        _arg("--include-even", action="store_true"),
+    ), arith.TABLE_POLICY, _cmd_table2n),
+    ("mul", "multiply by doubling (duplation)", (
+        _arg("a", type=int),
+        _arg("b", type=int),
+    ), None, _cmd_mul),
+    ("loaves", "divide loaves among men in unit fractions", (
+        _arg("loaves", type=int),
+        _arg("men", type=int),
+    ), arith.DEFAULT_POLICY, _cmd_loaves),
+    ("sequem", "completion reckoning", (
+        _arg("--given", type=_rational, required=True),
+        _arg("--target", type=_rational, required=True),
+        _arg("--mode", choices=(arith.ADDITIVE, arith.MULTIPLICATIVE), default=arith.ADDITIVE),
+    ), None, _cmd_sequem),
+    ("hau", "solve multiplier * x = target", (
+        _arg("--multiplier", type=_rational_terms, required=True,
+             help="coefficient terms, comma-separated: 1,1/7"),
+        _arg("--target", type=_rational, required=True),
+        _arg("--guess", type=_rational, default=None,
+             help="solve by false position from this trial value"),
+    ), arith.DEFAULT_POLICY, _cmd_hau),
+    ("shares", "split a total in arithmetic progression", (
+        _arg("--count", type=int, required=True),
+        _arg("--total", type=_rational, required=True),
+        _arg("--difference", type=_rational, required=True),
+    ), None, _cmd_shares),
+    ("ladder", "powers of a base and their sum", (
+        _arg("--base", type=int, default=7),
+        _arg("--top", type=int, default=5),
+    ), None, _cmd_ladder),
+    ("area", "field areas by the recorded rules", (
+        _arg("--shape", choices=tuple(_AREA_BUILDERS), required=True),
+        *(_arg(f"--{flag}", type=_rational, default=None)
+          for flag in ("side", "width", "height", "base", "s1", "s2", "p1", "p2")),
+    ), None, _cmd_area),
+    ("circle", "circle area by the eight-ninths rule", (
+        _arg("--diameter", type=_rational, required=True),
+    ), None, _cmd_circle),
+    ("pi-error", "how far the implied pi overshoots", (
+        _arg("--digits", type=int, default=15),
+        _arg("--compare", action="store_true",
+             help="also grade the neighbouring traditions' constants"),
+    ), None, _cmd_pi_error),
+    ("edfu", "quadrilateral area by opposite-side means", (
+        _arg("--sides", type=_rational_terms, default=None,
+             help="four cyclic side lengths: 3,4,5,0"),
+        _arg("--coords", default=None,
+             help="vertices 'x,y x,y x,y [x,y]'; grades the rule against the exact area"),
+        _arg("--random", type=int, default=0, metavar="N",
+             help="grade the rule on N random convex integer quadrilaterals"),
+        _arg("--seed", type=int, default=0),
+        _arg("--max-coord", type=int, default=50),
+    ), None, _cmd_edfu),
+    ("seked", "pyramid slope: any of base/height/seked from the other two", (
+        _arg("--base", type=_rational, default=None),
+        _arg("--height", type=_rational, default=None),
+        _arg("--seked", type=_rational, default=None),
+        _arg("--parts", type=int, default=7),
+    ), None, _cmd_seked),
+    ("shadow", "height from shadow by a reference stick", (
+        _arg("--shadow", type=_rational, required=True),
+        _arg("--stick", type=_rational, required=True),
+        _arg("--stick-shadow", type=_rational, required=True),
+    ), None, _cmd_shadow),
+    ("granary", "granary capacity: floor area times length", (
+        _arg("--floor-area", type=_rational, required=True),
+        _arg("--length", type=_rational, required=True),
+    ), None, _cmd_granary),
+    ("triples", "primitive right-triangle side lengths", (
+        _arg("--limit", type=int, required=True, help="perimeter limit (>= 12)"),
+    ), None, _cmd_triples),
+    ("corpus", "replay a problem corpus and report verdicts", (
+        _arg("path", nargs="?", default=None, help="corpus JSON (default: bundled corpus)"),
+    ), None, _cmd_corpus),
+)
+
+COMMAND_NAMES = tuple(name for name, *_ in COMMANDS)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser, or with ``command`` a parser holding only that subcommand.
+
+    Both parse that command's arguments alike and print the same help and
+    errors for it; only the whole parser can report a missing or unknown
+    command, or print the top-level help.
+    """
     parser = argparse.ArgumentParser(
         prog="scribal",
         description="Exact scribal reckoning: unit fractions, papyrus problems, surveyor rules.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="write a rational as a unit-fraction sum")
-    p.add_argument("value", type=_rational)
-    _add_policy_flags(p)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser("table2n", help="the 2/n doubling table")
-    p.add_argument("--max", type=int, default=99)
-    p.add_argument("--include-even", action="store_true")
-    _add_policy_flags(p, table_default=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_table2n)
-
-    p = sub.add_parser("mul", help="multiply by doubling (duplation)")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_mul)
-
-    p = sub.add_parser("loaves", help="divide loaves among men in unit fractions")
-    p.add_argument("loaves", type=int)
-    p.add_argument("men", type=int)
-    _add_policy_flags(p)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_loaves)
-
-    p = sub.add_parser("sequem", help="completion reckoning")
-    p.add_argument("--given", type=_rational, required=True)
-    p.add_argument("--target", type=_rational, required=True)
-    p.add_argument("--mode", choices=(arith.ADDITIVE, arith.MULTIPLICATIVE), default=arith.ADDITIVE)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_sequem)
-
-    p = sub.add_parser("hau", help="solve multiplier * x = target")
-    p.add_argument("--multiplier", type=_rational_terms, required=True,
-                   help="coefficient terms, comma-separated: 1,1/7")
-    p.add_argument("--target", type=_rational, required=True)
-    p.add_argument("--guess", type=_rational, default=None,
-                   help="solve by false position from this trial value")
-    _add_policy_flags(p)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_hau)
-
-    p = sub.add_parser("shares", help="split a total in arithmetic progression")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--total", type=_rational, required=True)
-    p.add_argument("--difference", type=_rational, required=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_shares)
-
-    p = sub.add_parser("ladder", help="powers of a base and their sum")
-    p.add_argument("--base", type=int, default=7)
-    p.add_argument("--top", type=int, default=5)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_ladder)
-
-    p = sub.add_parser("area", help="field areas by the recorded rules")
-    p.add_argument("--shape", choices=tuple(_AREA_BUILDERS), required=True)
-    for flag in ("side", "width", "height", "base", "s1", "s2", "p1", "p2"):
-        p.add_argument(f"--{flag}", type=_rational, default=None)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_area)
-
-    p = sub.add_parser("circle", help="circle area by the eight-ninths rule")
-    p.add_argument("--diameter", type=_rational, required=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_circle)
-
-    p = sub.add_parser("pi-error", help="how far the implied pi overshoots")
-    p.add_argument("--digits", type=int, default=15)
-    p.add_argument("--compare", action="store_true",
-                   help="also grade the neighbouring traditions' constants")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_pi_error)
-
-    p = sub.add_parser("edfu", help="quadrilateral area by opposite-side means")
-    p.add_argument("--sides", type=_rational_terms, default=None,
-                   help="four cyclic side lengths: 3,4,5,0")
-    p.add_argument("--coords", default=None,
-                   help="vertices 'x,y x,y x,y [x,y]'; grades the rule against the exact area")
-    p.add_argument("--random", type=int, default=0, metavar="N",
-                   help="grade the rule on N random convex integer quadrilaterals")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-coord", type=int, default=50)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_edfu)
-
-    p = sub.add_parser("seked", help="pyramid slope: any of base/height/seked from the other two")
-    p.add_argument("--base", type=_rational, default=None)
-    p.add_argument("--height", type=_rational, default=None)
-    p.add_argument("--seked", type=_rational, default=None)
-    p.add_argument("--parts", type=int, default=7)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_seked)
-
-    p = sub.add_parser("shadow", help="height from shadow by a reference stick")
-    p.add_argument("--shadow", type=_rational, required=True)
-    p.add_argument("--stick", type=_rational, required=True)
-    p.add_argument("--stick-shadow", type=_rational, required=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_shadow)
-
-    p = sub.add_parser("granary", help="granary capacity: floor area times length")
-    p.add_argument("--floor-area", type=_rational, required=True)
-    p.add_argument("--length", type=_rational, required=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_granary)
-
-    p = sub.add_parser("triples", help="primitive right-triangle side lengths")
-    p.add_argument("--limit", type=int, required=True, help="perimeter limit (>= 12)")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_triples)
-
-    p = sub.add_parser("corpus", help="replay a problem corpus and report verdicts")
-    p.add_argument("path", nargs="?", default=None, help="corpus JSON (default: bundled corpus)")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_corpus)
-
+    if command is not None:
+        # errors the top-level parser raises print its usage, which names every command
+        sub.metavar = "{" + ",".join(COMMAND_NAMES) + "}"
+    for name, help_text, arguments, policy, fn in COMMANDS:
+        if command is not None and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        if policy is not None:
+            _add_policy_flags(p, policy)
+        p.add_argument("--format", choices=FORMATS, default="text")
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a named command needs only its own subparser; anything else gets the whole parser
+    command = argv[0] if argv and argv[0] in COMMAND_NAMES else None
+    args = build_parser(command).parse_args(argv)
     try:
         args.fn(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"scribal: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("scribal: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -103,9 +103,9 @@ def _compute_tunnu(p: CorpusProblem) -> Fraction:
 
 def _compute_progression(p: CorpusProblem) -> Fraction:
     count, first, diff = p.inputs["term_count"], p.inputs["first_term"], p.inputs["difference"]
-    total = count * first + Fraction(count * (count - 1), 2) * diff
-    equations.arithmetic_shares(count, total, diff)  # rejects a term count below one
-    return total
+    if count < 1:
+        raise ValueError("need at least one share")  # arithmetic_shares' message, byte for byte
+    return count * first + Fraction(count * (count - 1), 2) * diff
 
 
 _AREA_SHAPES = {
