@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from scribal.arith import (
     ADDITIVE,
+    DEFAULT_POLICY,
     GREEDY,
     MULTIPLICATIVE,
     SHORTEST_SEARCH,
@@ -22,6 +23,7 @@ from scribal.arith import (
     table_2_over_n,
     table_to_csv,
     table_to_json,
+    _BestCandidate,
 )
 
 F = Fraction
@@ -146,6 +148,18 @@ class TestShortestSearch:
         # 2/99 candidates include largest denominators 110..4950; 4950 has
         # the most divisors
         assert decompose(F(2, 99)).denominators == (50, 4950)
+
+    def test_tie_break_divisor_count_by_enumeration(self):
+        # every d <= limit is counted once for each of its multiples
+        limit = 5000
+        counts = [0] * (limit + 1)
+        for d in range(1, limit + 1):
+            for multiple in range(d, limit + 1, d):
+                counts[multiple] += 1
+        for n in range(1, limit + 1):
+            best = _BestCandidate(DEFAULT_POLICY)
+            best.offer((n,))
+            assert best.best[0] == -counts[n], n
 
     def test_tie_break_smallest_largest_denominator(self):
         u = decompose(F(2, 99), DecompositionPolicy(prefer_divisor_rich=False))

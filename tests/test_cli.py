@@ -1,10 +1,13 @@
 import json
+import shlex
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from scribal import arith, corpus, geometry
-from scribal.cli import main
+from scribal import arith, cli, corpus, geometry
+from scribal.cli import COMMAND_NAMES, build_parser, main
 
 F = Fraction
 
@@ -231,3 +234,116 @@ class TestErrorContract:
         with pytest.raises(SystemExit) as exc_info:
             main(["circle", "--diameter", "nine"])
         assert exc_info.value.code == 2
+
+
+def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(arith, "decompose", interrupted)
+    try:
+        code, out, err = run(capsys, "decompose", "7/10")
+    except KeyboardInterrupt:  # escaping, it would end the test session
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert (code, out, err) == (130, "", "scribal: interrupted\n")
+
+
+# One value of the wrong type (or outside the choices) per command.
+BAD_VALUE = {
+    "decompose": ["x/y"],
+    "table2n": ["--max", "many"],
+    "mul": ["two", "3"],
+    "loaves": ["6", "ten"],
+    "sequem": ["--given", "half", "--target", "1"],
+    "hau": ["--multiplier", "1,x", "--target", "19"],
+    "shares": ["--count", "four", "--total", "20", "--difference", "2"],
+    "ladder": ["--base", "seven"],
+    "area": ["--shape", "hexagon"],
+    "circle": ["--diameter", "nine"],
+    "pi-error": ["--digits", "many"],
+    "edfu": ["--random", "many"],
+    "seked": ["--parts", "seven"],
+    "shadow": ["--shadow", "far", "--stick", "1", "--stick-shadow", "1"],
+    "granary": ["--floor-area", "64", "--length", "long"],
+    "triples": ["--limit", "big"],
+    "corpus": ["--format", "xml"],
+}
+
+
+def readme_commands() -> list[list[str]]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in readme.read_text(encoding="utf-8").splitlines()
+        if line.startswith("scribal ")
+    ]
+
+
+def parse_outcome(capsys, parser, argv):
+    """(exit code or None, stdout, stderr, namespace or None) of one parse."""
+    try:
+        namespace, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+class TestParserPaths:
+    """The one-command parser main builds behaves as the whole parser does."""
+
+    @pytest.fixture(autouse=True, params=["80", "40"])
+    def columns(self, request, monkeypatch):
+        monkeypatch.setenv("COLUMNS", request.param)
+
+    def test_bad_values_cover_every_command(self):
+        assert set(BAD_VALUE) == set(COMMAND_NAMES)
+
+    @pytest.mark.parametrize("name", COMMAND_NAMES)
+    def test_same_help_errors_and_namespace(self, capsys, name):
+        for rest in (["--help"], ["--bogus"], BAD_VALUE[name], []):
+            argv = [name, *rest]
+            whole = parse_outcome(capsys, build_parser(), argv)
+            single = parse_outcome(capsys, build_parser(name), argv)
+            assert single == whole, argv
+        # --format comes after the command's own and the policy flags
+        help_text = parse_outcome(capsys, build_parser(name), [name, "--help"])[1]
+        assert help_text.rstrip().splitlines()[-1].split()[0] == "--format"
+
+    def test_readme_commands_parse_alike(self, capsys):
+        commands = readme_commands()
+        assert len(commands) >= 20
+        for argv in commands:
+            whole = parse_outcome(capsys, build_parser(), argv)
+            single = parse_outcome(capsys, build_parser(argv[0]), argv)
+            assert whole[0] is None and single == whole, argv
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["nosuch"]])
+    def test_no_command_uses_whole_parser(self, capsys, argv):
+        whole = parse_outcome(capsys, build_parser(), argv)
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc_info.value.code, captured.out, captured.err) == whole[:3]
+        message = {
+            (): "the following arguments are required: command",
+            ("--help",): "{" + ",".join(COMMAND_NAMES) + "}",
+            ("nosuch",): "argument command: invalid choice: 'nosuch'",
+        }[tuple(argv)]
+        assert message in captured.out + captured.err
+
+    def test_main_builds_the_named_command_only(self, capsys, monkeypatch):
+        built = []
+
+        def spy(command=None):
+            built.append(command)
+            return build_parser(command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        assert main(["decompose", "7/10"]) == 0
+        monkeypatch.setattr(sys, "argv", ["scribal", "mul", "13", "12"])
+        assert main() == 0
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        capsys.readouterr()
+        assert built == ["decompose", "mul", None]

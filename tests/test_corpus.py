@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from scribal import corpus
+from scribal import corpus, equations
 from scribal.corpus import (
     CATEGORIES,
     ENGINE_ERROR,
@@ -131,6 +131,28 @@ class TestReplay:
         monkeypatch.setitem(corpus._CATEGORY_COMPUTE, "hau", broken)
         with pytest.raises(TypeError, match="compute bug"):
             replay(load_corpus(make_doc([HAU]))[0])
+
+    def test_progression_below_one_share_is_engine_error(self):
+        # same verdict note as the library's own share split gives
+        with pytest.raises(ValueError) as exc_info:
+            equations.arithmetic_shares(0, 1, 1)
+        bad = {"id": "no-shares", "category": "progression",
+               "inputs": {"term_count": 0, "first_term": "2", "difference": "2"}}
+        verdict = replay(load_corpus(make_doc([bad]))[0])
+        assert verdict.status == ENGINE_ERROR
+        assert verdict.note == str(exc_info.value) == "need at least one share"
+
+    def test_progression_total_builds_no_shares(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("shares built")
+
+        monkeypatch.setattr(equations, "arithmetic_shares", unused)
+        count = 300_000
+        big = {"id": "many-shares", "category": "progression",
+               "inputs": {"term_count": count, "first_term": "1/2", "difference": "1/3"}}
+        verdict = replay(load_corpus(make_doc([big]))[0])
+        assert verdict.status == NO_RECORDED_ANSWER
+        assert verdict.engine_value == count * F(1, 2) + F(count * (count - 1), 2) * F(1, 3)
 
     def test_two_over_n_row_value(self):
         doc = make_doc([
