@@ -277,6 +277,8 @@ def _parse_coords(text: str) -> list[tuple[Fraction, Fraction]]:
 
 
 def _cmd_edfu(args) -> None:
+    if args.random < 0:
+        raise ValueError(f"--random takes a count N >= 0, got {args.random}")
     if args.random:
         rng = Random(args.seed)
         worst = None

@@ -17,6 +17,12 @@ from .rational import as_rational
 # Names attached to the rungs of the classic base-7 ladder, lowest power first.
 LADDER_LABELS = ("an", "Katze", "Maus", "Gerste", "Maass")
 
+# A ladder is built whole before it is shown, so its size is capped: at
+# most this many rungs, and a top rung of at most this many decimal digits.
+LADDER_MAX_RUNGS = 1000
+LADDER_MAX_DIGITS = 1000
+_LADDER_TOP_LIMIT = 10**LADDER_MAX_DIGITS
+
 
 @dataclass(frozen=True)
 class HauProblem:
@@ -126,12 +132,21 @@ def geometric_ladder(base: int, top_exponent: int) -> GeometricLadder:
     """The powers base^1 .. base^top and their sum, rungs labeled in order.
 
     The five classic rung names attach from the lowest power up; rungs
-    past the fifth go unnamed.
+    past the fifth go unnamed. A ladder of more than ``LADDER_MAX_RUNGS``
+    rungs, or with a top rung of more than ``LADDER_MAX_DIGITS`` digits,
+    is refused before any rung is computed.
     """
     if not (isinstance(base, int) and isinstance(top_exponent, int)):
         raise ValueError("ladder takes integer base and exponent")
     if base < 1 or top_exponent < 1:
         raise ValueError("ladder needs base >= 1 and top exponent >= 1")
+    if top_exponent > LADDER_MAX_RUNGS:
+        raise ValueError(f"ladder takes at most {LADDER_MAX_RUNGS} rungs, got top exponent {top_exponent}")
+    # 2**(4*d) > 10**d: the bit count alone rules out a huge top rung before
+    # it is computed, and below that count the exact comparison is cheap
+    if ((base.bit_length() - 1) * top_exponent >= 4 * LADDER_MAX_DIGITS
+            or base**top_exponent >= _LADDER_TOP_LIMIT):
+        raise ValueError(f"ladder's top rung base^{top_exponent} has more than {LADDER_MAX_DIGITS} digits")
     rungs = tuple(
         LadderRung(e, base**e, LADDER_LABELS[e - 1] if e <= len(LADDER_LABELS) else "")
         for e in range(1, top_exponent + 1)

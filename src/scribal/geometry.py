@@ -233,17 +233,24 @@ def edfu_area_via_diagonal_split(q: SideQuad) -> Fraction:
 
 
 # -- exact polygon oracle -------------------------------------------------
+#
+# The checks below run on a lattice: every vertex is scaled by the least
+# common denominator of all coordinates, which turns the points into
+# integers and keeps equality, collinearity and the sign of every
+# orientation. Areas and squared lengths are divided by the scale once.
+
+LatticePoint = tuple[int, int]
 
 
 def _as_points(vertices: Sequence[tuple[Fraction | int, Fraction | int]]) -> list[Point]:
     return [(as_rational(x), as_rational(y)) for x, y in vertices]
 
 
-def _orient(a: Point, b: Point, c: Point) -> Fraction:
+def _orient(a: LatticePoint, b: LatticePoint, c: LatticePoint) -> int:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def _on_segment(a: Point, b: Point, p: Point) -> bool:
+def _on_segment(a: LatticePoint, b: LatticePoint, p: LatticePoint) -> bool:
     # collinearity assumed; is p within the bounding box of ab?
     return (
         min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
@@ -251,7 +258,7 @@ def _on_segment(a: Point, b: Point, p: Point) -> bool:
     )
 
 
-def _segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
+def _segments_intersect(p1: LatticePoint, p2: LatticePoint, q1: LatticePoint, q2: LatticePoint) -> bool:
     d1 = _orient(q1, q2, p1)
     d2 = _orient(q1, q2, p2)
     d3 = _orient(p1, p2, q1)
@@ -270,18 +277,25 @@ def _segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     return False
 
 
-def validate_simple_polygon(vertices: Sequence[tuple[Fraction | int, Fraction | int]]) -> list[Point]:
-    """Check for a simple (non-self-intersecting) polygon; return its points."""
+def _simple_lattice(
+    vertices: Sequence[tuple[Fraction | int, Fraction | int]],
+) -> tuple[list[Point], list[LatticePoint], int]:
+    """Validate a simple polygon; return its points, lattice points and scale."""
     pts = _as_points(vertices)
     n = len(pts)
     if n < 3:
         raise ValueError("a polygon needs at least 3 vertices")
-    if len(set(pts)) != n:
+    scale = math.lcm(*(c.denominator for p in pts for c in p))
+    lattice = [
+        (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+        for x, y in pts
+    ]
+    if len(set(lattice)) != n:
         raise ValueError("polygon vertices must be distinct")
     for i in range(n):
-        a1, a2 = pts[i], pts[(i + 1) % n]
+        a1, a2 = lattice[i], lattice[(i + 1) % n]
         # adjacent edges may meet only at the shared vertex, not fold back
-        b1, b2 = pts[(i + 1) % n], pts[(i + 2) % n]
+        b1, b2 = lattice[(i + 1) % n], lattice[(i + 2) % n]
         if _orient(a1, a2, b2) == 0:
             along = (a1[0] - b1[0]) * (b2[0] - b1[0]) + (a1[1] - b1[1]) * (b2[1] - b1[1])
             if along > 0:
@@ -289,29 +303,37 @@ def validate_simple_polygon(vertices: Sequence[tuple[Fraction | int, Fraction | 
         for j in range(i + 2, n):
             if i == 0 and j == n - 1:
                 continue  # these edges are adjacent around the wrap
-            c1, c2 = pts[j], pts[(j + 1) % n]
+            c1, c2 = lattice[j], lattice[(j + 1) % n]
             if _segments_intersect(a1, a2, c1, c2):
                 raise ValueError("polygon edges intersect; not a simple polygon")
-    return pts
+    return pts, lattice, scale
+
+
+def _shoelace_area(lattice: list[LatticePoint], scale: int) -> Fraction:
+    """The shoelace sum over lattice points, divided by the scale once."""
+    twice = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(lattice, lattice[1:] + lattice[:1]))
+    return Fraction(abs(twice), 2 * scale * scale)
+
+
+def validate_simple_polygon(vertices: Sequence[tuple[Fraction | int, Fraction | int]]) -> list[Point]:
+    """Check for a simple (non-self-intersecting) polygon; return its points."""
+    return _simple_lattice(vertices)[0]
 
 
 def exact_polygon_area(vertices: Sequence[tuple[Fraction | int, Fraction | int]]) -> Fraction:
     """Shoelace area of a simple polygon, exact and orientation-free."""
-    pts = validate_simple_polygon(vertices)
-    twice = Fraction(0)
-    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
-        twice += x1 * y2 - x2 * y1
-    return abs(twice) / 2
+    _, lattice, scale = _simple_lattice(vertices)
+    return _shoelace_area(lattice, scale)
 
 
 # -- grading the donation-text rule ---------------------------------------
 
 
-def _squared_side_lengths(pts: list[Point]) -> list[Fraction]:
-    out = []
-    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
-        out.append((x2 - x1) ** 2 + (y2 - y1) ** 2)
-    return out
+def _squared_side_lengths(lattice: list[LatticePoint]) -> list[int]:
+    return [
+        (x2 - x1) ** 2 + (y2 - y1) ** 2
+        for (x1, y1), (x2, y2) in zip(lattice, lattice[1:] + lattice[:1])
+    ]
 
 
 def edfu_error_report(
@@ -329,26 +351,24 @@ def edfu_error_report(
     covers every rectangle, however it is rotated), and the rest are
     bounded to ``digits`` correct decimals, reported as a lower bound.
     """
-    pts = validate_simple_polygon(vertices)
-    if len(pts) == 3:
-        sq = _squared_side_lengths(pts) + [Fraction(0)]
-    elif len(pts) == 4:
-        sq = _squared_side_lengths(pts)
+    _, lattice, scale = _simple_lattice(vertices)
+    if len(lattice) == 3:
+        sq = _squared_side_lengths(lattice) + [0]
+    elif len(lattice) == 4:
+        sq = _squared_side_lengths(lattice)
     else:
         raise ValueError("the rule applies to quadrilaterals and triangles only")
     sa, sb, sc, sd = sq
-    # (a+c)(b+d)/4 = (ab + ad + cb + cd)/4, each product a single square root
-    lo_sum, hi_sum = Fraction(0), Fraction(0)
-    all_exact = True
-    for prod in (sa * sb, sa * sd, sc * sb, sc * sd):
-        lo, hi, is_exact = sqrt_bounds(prod, digits)
-        lo_sum += lo
-        hi_sum += hi
-        all_exact = all_exact and is_exact
-    exact_area = exact_polygon_area(pts)
-    if all_exact:
-        return ErrorReport.build(lo_sum / 4, exact_area)
-    return ErrorReport.build(lo_sum / 4, exact_area, approx_digits=digits)
+    # (a+c)(b+d)/4 = (ab + ad + cb + cd)/4, each product a single square root;
+    # a product of two squared lattice lengths carries the scale to the fourth
+    scale4 = scale**4
+    bounds = [sqrt_bounds(Fraction(prod, scale4), digits) for prod in (sa * sb, sa * sd, sc * sb, sc * sd)]
+    # the four lower bounds summed over one common denominator
+    common = math.lcm(*(lo.denominator for lo, _, _ in bounds))
+    lo_sum = sum(lo.numerator * (common // lo.denominator) for lo, _, _ in bounds)
+    historical = Fraction(lo_sum, 4 * common)
+    approx_digits = None if all(is_exact for _, _, is_exact in bounds) else digits
+    return ErrorReport.build(historical, _shoelace_area(lattice, scale), approx_digits)
 
 
 def random_convex_quadrilateral(rng: Random, max_coord: int = 50) -> list[tuple[int, int]]:

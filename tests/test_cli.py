@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from scribal import arith, cli, corpus, geometry
+from scribal import arith, cli, corpus, equations, geometry
 from scribal.cli import COMMAND_NAMES, build_parser, main
 
 F = Fraction
@@ -150,6 +150,19 @@ class TestGeometryCommands:
         doc = json.loads(out)
         assert doc["count"] == 25 and doc["seed"] == 11
         assert F(doc["worst_abs_error"]) >= 0
+
+    def test_edfu_random_negative_rejected(self, capsys):
+        code, out, err = run(capsys, "edfu", "--random", "-3")
+        assert (code, out, err) == (1, "", "scribal: --random takes a count N >= 0, got -3\n")
+
+    def test_ladder_over_rung_cap_rejected(self, capsys, monkeypatch):
+        def unused(*args):
+            raise AssertionError("rung built")
+
+        monkeypatch.setattr(equations, "LadderRung", unused)
+        code, out, err = run(capsys, "ladder", "--base", "9", "--top", "5000")
+        assert (code, out) == (1, "")
+        assert err == "scribal: ladder takes at most 1000 rungs, got top exponent 5000\n"
 
     def test_seked_forward(self, capsys):
         code, out, _ = run(capsys, "seked", "--base", "360", "--height", "250")

@@ -154,6 +154,16 @@ class TestReplay:
         assert verdict.status == NO_RECORDED_ANSWER
         assert verdict.engine_value == count * F(1, 2) + F(count * (count - 1), 2) * F(1, 3)
 
+    def test_ladder_over_cap_is_engine_error(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("rung built")
+
+        monkeypatch.setattr(equations, "LadderRung", unused)
+        big = {"id": "tall-ladder", "category": "ladder", "inputs": {"base": 7, "top_exponent": 20000}}
+        verdict = replay(load_corpus(make_doc([big]))[0])
+        assert verdict.status == ENGINE_ERROR
+        assert verdict.note == "ladder takes at most 1000 rungs, got top exponent 20000"
+
     def test_two_over_n_row_value(self):
         doc = make_doc([
             {"id": "t", "category": "two_over_n", "inputs": {"n": 5}, "scribal_answer": "1/3 + 1/15"}

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scribal import equations
 from scribal.equations import (
     LADDER_LABELS,
+    LADDER_MAX_DIGITS,
+    LADDER_MAX_RUNGS,
     HauProblem,
     arithmetic_shares,
     geometric_ladder,
@@ -159,3 +162,27 @@ class TestGeometricLadder:
     def test_render_lists_total(self):
         text = geometric_ladder(7, 5).render()
         assert "Maass" in text and "19607" in text
+
+    def test_rung_count_capped_before_any_rung(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("rung built")
+
+        monkeypatch.setattr(equations, "LadderRung", unused)
+        for base, top in ((1, LADDER_MAX_RUNGS + 1), (9, 5000), (7, 20000)):
+            with pytest.raises(ValueError, match=f"at most {LADDER_MAX_RUNGS} rungs, got top exponent {top}$"):
+                geometric_ladder(base, top)
+
+    def test_top_rung_digits_capped_before_any_rung(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("rung built")
+
+        monkeypatch.setattr(equations, "LadderRung", unused)
+        # 10**1000 has one digit too many; 2**4000 is caught by its bit count
+        for base, top in ((10**100, 10), (10**1000, 1), (2**4000, 1)):
+            with pytest.raises(ValueError, match=f"more than {LADDER_MAX_DIGITS} digits"):
+                geometric_ladder(base, top)
+
+    def test_ladder_at_the_caps_is_built(self):
+        assert len(str(geometric_ladder(10**100, 9).rungs[-1].value)) == 901
+        assert len(str(geometric_ladder(10**999, 1).rungs[-1].value)) == LADDER_MAX_DIGITS
+        assert geometric_ladder(1, LADDER_MAX_RUNGS).total == LADDER_MAX_RUNGS

@@ -34,6 +34,7 @@ from scribal.geometry import (
     triangle_area,
     triangle_area_two_sides,
 )
+from scribal.rational import as_rational
 
 F = Fraction
 
@@ -465,3 +466,184 @@ class TestDecimalString:
         assert decimal_string(F(1, 3), 6) == "0.333333"
         assert decimal_string(F(-1, 3), 6) == "-0.333333"
         assert decimal_string(F(5, 2), 3) == "2.500"
+
+
+# -- the Fraction kernel the lattice kernel replaced, kept as a reference --
+
+
+def ref_orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def ref_on_segment(a, b, p):
+    return (
+        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    )
+
+
+def ref_segments_intersect(p1, p2, q1, q2):
+    d1 = ref_orient(q1, q2, p1)
+    d2 = ref_orient(q1, q2, p2)
+    d3 = ref_orient(p1, p2, q1)
+    d4 = ref_orient(p1, p2, q2)
+    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0
+            and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0):
+        return True
+    if d1 == 0 and ref_on_segment(q1, q2, p1):
+        return True
+    if d2 == 0 and ref_on_segment(q1, q2, p2):
+        return True
+    if d3 == 0 and ref_on_segment(p1, p2, q1):
+        return True
+    if d4 == 0 and ref_on_segment(p1, p2, q2):
+        return True
+    return False
+
+
+def ref_validate(vertices):
+    pts = [(as_rational(x), as_rational(y)) for x, y in vertices]
+    n = len(pts)
+    if n < 3:
+        raise ValueError("a polygon needs at least 3 vertices")
+    if len(set(pts)) != n:
+        raise ValueError("polygon vertices must be distinct")
+    for i in range(n):
+        a1, a2 = pts[i], pts[(i + 1) % n]
+        b1, b2 = pts[(i + 1) % n], pts[(i + 2) % n]
+        if ref_orient(a1, a2, b2) == 0:
+            along = (a1[0] - b1[0]) * (b2[0] - b1[0]) + (a1[1] - b1[1]) * (b2[1] - b1[1])
+            if along > 0:
+                raise ValueError("polygon folds back on itself")
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue
+            c1, c2 = pts[j], pts[(j + 1) % n]
+            if ref_segments_intersect(a1, a2, c1, c2):
+                raise ValueError("polygon edges intersect; not a simple polygon")
+    return pts
+
+
+def ref_area(vertices):
+    pts = ref_validate(vertices)
+    twice = F(0)
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
+        twice += x1 * y2 - x2 * y1
+    return abs(twice) / 2
+
+
+def ref_edfu_report(vertices, digits=geometry.SQRT_DIGITS):
+    pts = ref_validate(vertices)
+    sq = [(x2 - x1) ** 2 + (y2 - y1) ** 2 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1])]
+    if len(pts) == 3:
+        sq.append(F(0))
+    elif len(pts) != 4:
+        raise ValueError("the rule applies to quadrilaterals and triangles only")
+    sa, sb, sc, sd = sq
+    lo_sum = F(0)
+    all_exact = True
+    for prod in (sa * sb, sa * sd, sc * sb, sc * sd):
+        lo, _, is_exact = sqrt_bounds(prod, digits)
+        lo_sum += lo
+        all_exact = all_exact and is_exact
+    exact_area = ref_area(pts)
+    if all_exact:
+        return geometry.ErrorReport.build(lo_sum / 4, exact_area)
+    return geometry.ErrorReport.build(lo_sum / 4, exact_area, approx_digits=digits)
+
+
+def outcome(fn, *args):
+    """('ok', value) or (exception type, message): the verdict to compare."""
+    try:
+        return "ok", fn(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+# Small numerators over mixed denominators: lattice scales from 1 to 84,
+# and enough coincidences for collinear runs, touching and crossing edges.
+coords = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 1, 2, 3, 4, 6, 7, 12]))
+points = st.tuples(coords, coords)
+free_polygons = st.lists(points, min_size=3, max_size=7, unique=True)
+
+
+@st.composite
+def shaped_polygons(draw):
+    """A polygon with one planted feature, or none, at a random vertex."""
+    pts = draw(st.lists(points, min_size=3, max_size=6, unique=True))
+    i = draw(st.integers(0, len(pts) - 1))
+    a, b = pts[i], pts[(i + 1) % len(pts)]
+    t = draw(st.sampled_from([F(1, 2), F(1, 3), F(2, 3), F(5, 4), F(-1, 2)]))
+    on_line = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+    feature = draw(st.sampled_from(["repeat", "collinear", "fold", "cross", "none"]))
+    if feature == "repeat":
+        pts.insert(draw(st.integers(0, len(pts))), a)
+    elif feature == "collinear":  # a vertex on the edge a-b (or its extension)
+        pts.insert(i + 1, on_line)
+    elif feature == "fold":  # run on to b, then turn back along the same line
+        pts.insert(i + 2, on_line)
+    elif feature == "cross" and len(pts) >= 4:
+        pts[i], pts[(i + 1) % len(pts)] = b, a
+    return pts
+
+
+polygons = st.one_of(free_polygons, shaped_polygons())
+
+
+class TestLatticeKernelAgainstFractionKernel:
+    @given(polygons)
+    @settings(max_examples=400)
+    def test_validate_verdict_and_points(self, pts):
+        got, want = outcome(geometry.validate_simple_polygon, pts), outcome(ref_validate, pts)
+        assert got == want
+        if got[0] == "ok":
+            assert all(type(c) is F for p in got[1] for c in p)
+
+    @given(polygons)
+    @settings(max_examples=400)
+    def test_exact_area(self, pts):
+        got, want = outcome(exact_polygon_area, pts), outcome(ref_area, pts)
+        assert got == want
+        if got[0] == "ok":
+            assert type(got[1]) is F
+
+    @given(polygons, st.sampled_from([3, 12, geometry.SQRT_DIGITS]))
+    @settings(max_examples=400)
+    def test_edfu_report_every_field(self, pts, digits):
+        got, want = outcome(edfu_error_report, pts, digits), outcome(ref_edfu_report, pts, digits)
+        assert got == want
+        if got[0] == "ok":
+            assert got[1].as_dict() == want[1].as_dict()
+
+    def test_seeded_convex_quadrilaterals(self):
+        rng = random.Random(1618)
+        for _ in range(200):
+            quad = random_convex_quadrilateral(rng, 60)
+            scale = F(rng.randint(1, 12), rng.randint(1, 12))
+            scaled = [(x * scale, y / scale) for x, y in quad]
+            for pts in (quad, scaled, scaled[:3]):
+                assert edfu_error_report(pts) == ref_edfu_report(pts)
+                assert exact_polygon_area(pts) == ref_area(pts)
+
+    def test_float_coordinate_refused_alike(self):
+        pts = [(0, 0), (1.5, 0), (1, 1)]
+        assert outcome(geometry.validate_simple_polygon, pts) == outcome(ref_validate, pts)
+        assert outcome(geometry.validate_simple_polygon, pts)[0] is TypeError
+
+
+def test_edfu_report_validates_once(monkeypatch):
+    # every polygon check runs in _simple_lattice, which validate_simple_polygon wraps
+    calls = []
+    validate = geometry._simple_lattice
+
+    def counted(vertices):
+        calls.append(1)
+        return validate(vertices)
+
+    monkeypatch.setattr(geometry, "_simple_lattice", counted)
+    rng = random.Random(7)
+    figures = [random_convex_quadrilateral(rng, 50) for _ in range(20)]
+    figures += [[(0, 0), (F(3, 2), 0), (F(3, 2), F(4, 3))], [(0, 0), (1, 1), (0, 2), (-1, 1)]]
+    for n, figure in enumerate(figures, 1):
+        edfu_error_report(figure)
+        assert len(calls) == n
