@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,10 @@ from scribal.arith import (
 )
 
 F = Fraction
+
+# decompose outputs recorded before the search was last changed; rewrite
+# with tests/record_decompose_golden.py only from a trusted commit
+GOLDEN = json.loads((Path(__file__).with_name("golden") / "decompose.json").read_text())
 
 
 def brute_force_decompositions(value, k, max_den):
@@ -221,14 +227,19 @@ class TestExactnessCampaign:
     def test_shortest_thousand_random_exact_or_bounded(self):
         # exhaustive search may legitimately exhaust its bounds; whatever
         # it does return must recompose exactly
+        # and match the recorded golden output
         rng = random.Random(2024)
         produced = 0
-        for _ in range(1000):
+        assert len(GOLDEN["campaign"]) == 1000
+        for recorded_value, recorded in GOLDEN["campaign"]:
             value = F(rng.randint(1, 1000), rng.randint(1, 1000))
+            assert str(value) == recorded_value
             try:
                 u = decompose(value)
             except BoundsExceededError:
+                assert recorded == "BoundsExceededError", value
                 continue
+            assert u.render() == recorded, value
             produced += 1
             assert u.value() == value
             assert len(set(u.denominators)) == len(u.denominators)
@@ -294,6 +305,10 @@ class TestDoublingTable:
             assert e.value() == F(2, e.n)
             assert 2 <= e.term_count <= 4
             assert not e.decomposition.two_thirds
+
+    def test_rows_match_golden_file(self):
+        rows = {str(e.n): e.decomposition.render() for e in table_2_over_n(n_max=299)}
+        assert rows == GOLDEN["table"]
 
     def test_row_3(self):
         # table default keeps to numerator-one fractions: 1/2 + 1/6
