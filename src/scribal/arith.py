@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from io import StringIO
 import csv
 
@@ -159,33 +161,65 @@ def _factorize_small(n: int) -> dict[int, int]:
     return out
 
 
-def _divide_out(factors: dict[int, int], g: int) -> dict[int, int]:
-    # factors minus the factorization of g; every prime of g is present
-    out = dict(factors)
-    for p in list(out):
-        while g % p == 0:
-            g //= p
-            out[p] -= 1
-        if out[p] == 0:
-            del out[p]
-        if g == 1:
-            break
-    return out
-
-
-def _divisors_upto(factors: dict[int, int], limit: int) -> list[int]:
+def _divisors_between(n: int, factors: dict[int, int], lo: int, hi: int) -> list[int]:
+    # the divisors of n in [lo, hi]; a partial product is dropped once it
+    # passes hi, or once even all the primes still to come cannot lift it
+    # to lo, which prunes most when the small primes come last
     divs = [1]
-    for p, e in factors.items():
+    rest = n
+    for p, e in sorted(factors.items(), reverse=True):
+        rest //= p**e
         grown = []
         for d in divs:
-            val = d
             for _ in range(e + 1):
-                if val > limit:
+                if d > hi:
                     break
-                grown.append(val)
-                val *= p
+                if d * rest >= lo:
+                    grown.append(d)
+                d *= p
         divs = grown
     return divs
+
+
+# Above this the divisor-count records are not built: there are some 4000
+# up to 10**12, but the count grows fast (700k up to 10**30).
+_DIVISOR_COUNT_RECORD_LIMIT = 10**12
+
+
+@lru_cache(maxsize=8)
+def _divisor_count_records(limit: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # (ns, counts): the n <= limit with more divisors than every smaller n
+    # (the highly composite numbers) and their divisor counts, both
+    # ascending, so the most divisors of any n <= N is
+    # counts[bisect_right(ns, N) - 1]. A record's prime exponents never rise
+    # along 2, 3, 5, ...: any other order gives a smaller n with as many
+    # divisors. So only such products need ranking, and they are few.
+    primes, p, primorial = [], 2, 2
+    while primorial <= limit:
+        primes.append(p)
+        p += 1
+        while any(p % q == 0 for q in primes):
+            p += 1
+        primorial *= p
+    shaped: list[tuple[int, int]] = []
+
+    def grow(n: int, count: int, i: int, max_e: int) -> None:
+        shaped.append((n, count))
+        if i == len(primes):
+            return
+        for e in range(1, max_e + 1):
+            n *= primes[i]
+            if n > limit:
+                break
+            grow(n, count * (e + 1), i + 1, e)
+
+    grow(1, 1, 0, limit.bit_length())
+    ns, counts = [], []
+    for n, count in sorted(shaped):
+        if not counts or count > counts[-1]:
+            ns.append(n)
+            counts.append(count)
+    return tuple(ns), tuple(counts)
 
 
 class _BestCandidate:
@@ -226,31 +260,30 @@ def _two_term_into(
     hi = min(max_den, 2 * b // a)
     if lo > hi:
         return
-    tau_sq = 1
-    if b_factors is not None:
-        for e in b_factors.values():
-            tau_sq *= 2 * e + 1
-    if b_factors is None or hi - lo + 1 <= tau_sq:
-        for x in range(lo, hi + 1):
-            e = a * x - b
-            num = b * x
-            if num % e == 0:
-                y = num // e
-                if x < y <= max_den:
-                    best.offer(prefix + (x, y))
+    if b_factors is None or hi - lo + 1 <= 4 * math.prod(e + 1 for e in b_factors.values()):
+        # x = (e + b)/a and y = (b*b/e + b)/a, so step e = a*x - b through
+        # the window and keep the divisors of b*b
+        bb = b * b
+        for e in range(a * lo - b, a * hi - b + 1, a):
+            if bb % e == 0:
+                f = bb // e + b
+                if f % a == 0:
+                    x, y = (e + b) // a, f // a
+                    if x < y <= max_den:
+                        best.offer(prefix + (x, y))
         return
-    squared = {p: 2 * e for p, e in b_factors.items()}
-    bb = b * b
-    for e in _divisors_upto(squared, b):
-        if (e + b) % a:
-            continue
-        e2 = bb // e
-        if (e2 + b) % a:
-            continue
-        x = (e + b) // a
-        y = (e2 + b) // a
-        if x >= lo and y <= max_den and x != y:
-            best.offer(prefix + (x, y))
+    # Every solution is x = j*b/n, y = j*b/m for coprime m < n with m*n | b
+    # and m + n = j*a (Rav). So m*m < b, y <= max_den needs m >= b/max_den,
+    # n > m needs j > 2m/a and n <= b/m needs j <= (b/m + m)/a. x falls as
+    # j rises, so x >= lo gives j <= lo*m/(lo*a - b), which also keeps
+    # y <= max_den, since lo is at least the x of y = max_den.
+    lo_excess = lo * a - b
+    for m in _divisors_between(b, b_factors, -(-b // max_den), math.isqrt(b - 1)):
+        q = b // m
+        for j in range(2 * m // a + 1, min((q + m) // a, lo * m // lo_excess) + 1):
+            n = j * a - m
+            if q % n == 0 and math.gcd(m, n) == 1:
+                best.offer(prefix + (j * b // n, j * q))
 
 
 def _best_k_term(f: Fraction, k: int, policy: DecompositionPolicy, best: _BestCandidate) -> None:
@@ -262,28 +295,15 @@ def _best_k_term(f: Fraction, k: int, policy: DecompositionPolicy, best: _BestCa
         if a0 == 1 and 2 <= b0 <= max_den:
             best.offer((b0,))
         return
-    factorable = b0 <= 10**8
-    root_factors = _factorize_small(b0) if factorable else None
+    root_factors = _factorize_small(b0) if b0 <= 10**8 else None
     if k == 2:
         _two_term_into(a0, b0, root_factors, 2, max_den, (), best)
         return
+    record_limit = min(max_den, _DIVISOR_COUNT_RECORD_LIMIT)
+    record_ns, record_counts = _divisor_count_records(record_limit) if best.rich else ((), ())
 
-    def recurse(a: int, b: int, path: tuple[int, ...], t: int, d_min: int) -> None:
-        if t == 2:
-            g = math.gcd(a, b)
-            ar, br = a // g, b // g
-            if factorable:
-                raw = dict(root_factors)
-                raw_value = b0
-                for d in path:
-                    raw_value *= d
-                    for p, e in _factorize_small(d).items():
-                        raw[p] = raw.get(p, 0) + e
-                factors = _divide_out(raw, raw_value // br) if raw_value != br else raw
-            else:
-                factors = None
-            _two_term_into(ar, br, factors, d_min, max_den, path, best)
-            return
+    def recurse(a: int, b: int, factors: dict[int, int] | None, path: tuple[int, ...], t: int, d_min: int) -> None:
+        # a/b in lowest terms, factors its denominator's (None past 10**8)
         lo = max(d_min, -(-b // a))
         hi = min(max_den, t * b // a)
         # lift lo past the provably dead region: the child's remainder
@@ -297,9 +317,43 @@ def _best_k_term(f: Fraction, k: int, policy: DecompositionPolicy, best: _BestCa
             na, nb = a * d - b, b * d
             if na <= 0:
                 continue
-            recurse(na, nb, path + (d,), t - 1, d + 1)
+            if record_ns and best.best is not None:
+                # The child's t-1 terms exceed d, so all but its last sum
+                # to at most s = 1/(d+1) + ... + 1/(d+t-2), and its largest
+                # denominator is at most 1/(na/nb - s). If no n that small
+                # has as many divisors as the best's largest, nothing below
+                # can win or tie; the bound falls as d rises, so stop here.
+                s_num, s_den = 0, 1
+                for i in range(d + 1, d + t - 1):
+                    s_num, s_den = s_num * i + s_den, s_den * i
+                gap = na * s_den - nb * s_num
+                if gap > 0:
+                    bound = min(nb * s_den // gap, max_den)
+                    if bound <= record_limit and record_counts[bisect_right(record_ns, bound) - 1] < -best.best[0]:
+                        break
+            g = math.gcd(na, nb)
+            if g > 1:
+                na //= g
+                nb //= g
+            child = None
+            if factors is not None:
+                # nb = b*d/g, and every prime of g divides d
+                child = dict(factors)
+                for p, e in _factorize_small(d).items():
+                    e += child.get(p, 0)
+                    while g % p == 0:
+                        g //= p
+                        e -= 1
+                    if e:
+                        child[p] = e
+                    else:
+                        del child[p]
+            if t == 3:
+                _two_term_into(na, nb, child, d + 1, max_den, path + (d,), best)
+            else:
+                recurse(na, nb, child, path + (d,), t - 1, d + 1)
 
-    recurse(a0, b0, (), k, 2)
+    recurse(a0, b0, root_factors, (), k, 2)
 
 
 def _shortest(f: Fraction, policy: DecompositionPolicy) -> tuple[bool, list[int]]:

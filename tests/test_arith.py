@@ -1,12 +1,16 @@
 import json
+import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from scribal import arith
 from scribal.arith import (
     ADDITIVE,
     DEFAULT_POLICY,
@@ -26,6 +30,9 @@ from scribal.arith import (
     table_to_csv,
     table_to_json,
     _BestCandidate,
+    _divisor_count_records,
+    _factorize_small,
+    _two_term_into,
 )
 
 F = Fraction
@@ -211,6 +218,168 @@ class TestShortestSearch:
             except BoundsExceededError:
                 got = None
             assert got == expected, (value, policy)
+
+
+def reference_divisors_upto(factors, limit):
+    divs = [1]
+    for p, e in factors.items():
+        grown = []
+        for d in divs:
+            val = d
+            for _ in range(e + 1):
+                if val > limit:
+                    break
+                grown.append(val)
+                val *= p
+        divs = grown
+    return divs
+
+
+def reference_two_term_into(a, b, b_factors, d_min, max_den, prefix, best):
+    """The two-term leaf before the divisor-pair rewrite, kept verbatim as the reference."""
+    if 2 * b > a * max_den:
+        return
+    lo = max(d_min, b // a + 1, -(-b * max_den // (a * max_den - b)))
+    hi = min(max_den, 2 * b // a)
+    if lo > hi:
+        return
+    tau_sq = 1
+    if b_factors is not None:
+        for e in b_factors.values():
+            tau_sq *= 2 * e + 1
+    if b_factors is None or hi - lo + 1 <= tau_sq:
+        for x in range(lo, hi + 1):
+            e = a * x - b
+            num = b * x
+            if num % e == 0:
+                y = num // e
+                if x < y <= max_den:
+                    best.offer(prefix + (x, y))
+        return
+    squared = {p: 2 * e for p, e in b_factors.items()}
+    bb = b * b
+    for e in reference_divisors_upto(squared, b):
+        if (e + b) % a:
+            continue
+        e2 = bb // e
+        if (e2 + b) % a:
+            continue
+        x = (e + b) // a
+        y = (e2 + b) // a
+        if x >= lo and y <= max_den and x != y:
+            best.offer(prefix + (x, y))
+
+
+class Offers:
+    """Stands in for _BestCandidate and keeps every form offered."""
+
+    def __init__(self):
+        self.forms = []
+
+    def offer(self, dens):
+        self.forms.append(dens)
+
+
+@st.composite
+def leaves(draw, xs=(2, 3000), max_y=20000, bs=(2, 10**6), planted_edges=False):
+    """(a, b, d_min, max_den) for a two-term leaf.
+
+    Mostly a/b = 1/x + 1/y for a drawn pair, with d_min and max_den on,
+    next to or away from x and y, so solutions sit on the window's edges;
+    sometimes a plain a/b in lowest terms, which often has no solution.
+    With planted_edges, d_min and max_den always sit at the pair's edges.
+    """
+    if draw(st.integers(0, 3)):
+        x = draw(st.integers(*xs))
+        y = draw(st.integers(x + 1, max_y))
+        value = F(1, x) + F(1, y)
+        max_dens = st.sampled_from([y, y - 1, y + 1, 2 * max_y])
+        d_mins = st.sampled_from([x, x - 1, x + 1, 2])
+        if not planted_edges:
+            max_dens |= st.integers(2, 2 * max_y)
+            d_mins |= st.integers(2, max_y)
+        max_den, d_min = draw(max_dens), draw(d_mins)
+    else:
+        b = draw(st.integers(*bs))
+        value = F(draw(st.integers(1, b - 1)), b)
+        max_den = draw(st.integers(2, 2 * max_y))
+        d_min = draw(st.integers(2, max_y))
+    return value.numerator, value.denominator, max(d_min, 2), max(max_den, 2)
+
+
+def leaf_forms(leaf, b_factors, *, reference=False):
+    """Every form a leaf offers, and whether the divisor-pair path ran."""
+    a, b, d_min, max_den = leaf
+    offers = Offers()
+    if reference:
+        reference_two_term_into(a, b, b_factors, d_min, max_den, (7,), offers)
+        return sorted(offers.forms), None
+    with mock.patch.object(arith, "_divisors_between", wraps=arith._divisors_between) as spy:
+        _two_term_into(a, b, b_factors, d_min, max_den, (7,), offers)
+    return sorted(offers.forms), spy.called
+
+
+class TestTwoTermLeafAgainstReference:
+    # the divisor-pair leaf must offer exactly the forms the replaced
+    # divisor-of-b-squared leaf offered, on both sides of its switch to
+    # the linear scan and without a factorisation
+    @given(leaves(xs=(200, 3000), planted_edges=True))
+    @settings(max_examples=300, deadline=None)
+    def test_divisor_pair_side(self, leaf):
+        factors = _factorize_small(leaf[1])
+        got, by_pairs = leaf_forms(leaf, factors)
+        assume(by_pairs)
+        assert got == leaf_forms(leaf, factors, reference=True)[0]
+
+    @given(leaves())
+    @settings(max_examples=300, deadline=None)
+    def test_scan_side(self, leaf):
+        factors = _factorize_small(leaf[1])
+        got, by_pairs = leaf_forms(leaf, factors)
+        assume(not by_pairs)
+        assert got == leaf_forms(leaf, factors, reference=True)[0]
+
+    @given(leaves(xs=(10**4, 3 * 10**4), max_y=4 * 10**4, bs=(10**8 + 1, 10**12)))
+    @settings(max_examples=60, deadline=None)
+    def test_unfactored_denominator(self, leaf):
+        # past 10**8 the search carries no factorisation and always scans
+        assume(leaf[1] > 10**8)
+        got, by_pairs = leaf_forms(leaf, None)
+        assert not by_pairs
+        assert got == leaf_forms(leaf, _factorize_small(leaf[1]), reference=True)[0]
+
+    def test_window_edges(self):
+        # 1/x + 1/y with x and y coprime is the pair m = x, n = y, j = 1;
+        # at max_den = y the lower end of the m window is x itself, and at
+        # d_min = x the bound on j from x >= d_min is j itself
+        for x, y in [(500, 9001), (1001, 5003), (2048, 6561)]:
+            value = F(1, x) + F(1, y)
+            leaf = (value.numerator, value.denominator, x, y)
+            got, by_pairs = leaf_forms(leaf, _factorize_small(leaf[1]))
+            assert by_pairs and (7, x, y) in got
+
+    def test_divisor_count_records_match_a_sieve(self):
+        limit = 20000
+        counts = [0] * (limit + 1)
+        for d in range(1, limit + 1):
+            for multiple in range(d, limit + 1, d):
+                counts[multiple] += 1
+        most = [0] * (limit + 1)
+        for n in range(1, limit + 1):
+            most[n] = max(most[n - 1], counts[n])
+        for max_den in (2, 3, 12, 37, 400, 5040, 5041, 10000, 20000):
+            ns, record_counts = _divisor_count_records(max_den)
+            assert ns[-1] <= max_den
+            for n in range(1, max_den + 1):
+                assert record_counts[bisect_right(ns, n) - 1] == most[n], (max_den, n)
+
+    def test_huge_max_denominator_matches_oracle(self):
+        # beyond 10**12 the divisor-count records stop; the bound may then
+        # prune only below that, and answers stay those of the oracle
+        policy = DecompositionPolicy(max_terms=3, max_denominator=10**40)
+        for value in (F(4, 5), F(5, 6), F(7, 15), F(3, 7), F(8, 11)):
+            u = decompose(value, policy)
+            assert (u.two_thirds, u.denominators) == oracle_best(value, policy), value
 
 
 class TestExactnessCampaign:
