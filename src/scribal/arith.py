@@ -181,8 +181,9 @@ def _divisors_between(n: int, factors: dict[int, int], lo: int, hi: int) -> list
     return divs
 
 
-# Above this the divisor-count records are not built: there are some 4000
-# up to 10**12, but the count grows fast (700k up to 10**30).
+# The divisor-count records are built up to this at most, and the search
+# uses them only for bounds up to it: ranking the candidates takes some
+# 4000 products up to 10**12, but 700k up to 10**30.
 _DIVISOR_COUNT_RECORD_LIMIT = 10**12
 
 

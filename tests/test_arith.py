@@ -1,5 +1,4 @@
 import json
-import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -395,8 +394,8 @@ class TestExactnessCampaign:
 
     def test_shortest_thousand_random_exact_or_bounded(self):
         # exhaustive search may legitimately exhaust its bounds; whatever
-        # it does return must recompose exactly
-        # and match the recorded golden output
+        # it does return must recompose exactly, and every outcome must
+        # match the recorded golden output
         rng = random.Random(2024)
         produced = 0
         assert len(GOLDEN["campaign"]) == 1000
