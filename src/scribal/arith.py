@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -88,12 +88,17 @@ TABLE_POLICY = replace(DEFAULT_POLICY, allow_two_thirds=False)
 
 
 def _greedy_unit_denominators(f: Fraction) -> list[int]:
-    # Sylvester-Fibonacci loop; remainder numerator strictly decreases.
+    # Sylvester-Fibonacci loop on the remainder a/b in lowest terms; its
+    # numerator strictly decreases.
+    a, b = f.numerator, f.denominator
     dens: list[int] = []
-    while f > 0:
-        d = -(-f.denominator // f.numerator)  # ceil
+    while a > 0:
+        d = -(-b // a)  # ceil
         dens.append(d)
-        f -= Fraction(1, d)
+        a, b = a * d - b, b * d
+        g = math.gcd(a, b)
+        a //= g
+        b //= g
     return dens
 
 
@@ -105,12 +110,18 @@ def _greedy(f: Fraction, allow_two_thirds: bool) -> tuple[bool, list[int]]:
     return False, _greedy_unit_denominators(f)
 
 
+# Splitting steps resolve_duplicates takes before it gives up; no sane
+# input cascades this far.
+_DUPLICATE_STEP_LIMIT = 100_000
+
+
 def resolve_duplicates(denominators: list[int], incoming: list[int]) -> list[int]:
     """Union two unit-fraction denominator lists, splitting duplicates.
 
     Every colliding incoming term 1/k is rewritten with the identity
     1/k = 1/(k+1) + 1/(k(k+1)) until it lands on a free denominator; the
-    value of the union is preserved exactly.
+    value of the union is preserved exactly. Raises ``ValueError`` when
+    that takes more than ``_DUPLICATE_STEP_LIMIT`` splitting steps.
     """
     have = set(denominators)
     queue = sorted(incoming, reverse=True)
@@ -119,8 +130,10 @@ def resolve_duplicates(denominators: list[int], incoming: list[int]) -> list[int
         d = queue.pop()
         while d in have:
             steps += 1
-            if steps > 100_000:  # no sane input cascades this far
-                raise RuntimeError("duplicate resolution did not settle")
+            if steps > _DUPLICATE_STEP_LIMIT:
+                raise ValueError(
+                    f"duplicate resolution did not settle within {_DUPLICATE_STEP_LIMIT} splitting steps"
+                )
             queue.append(d * (d + 1))
             d += 1
         have.add(d)
@@ -223,18 +236,33 @@ def _divisor_count_records(limit: int) -> tuple[tuple[int, ...], tuple[int, ...]
     return tuple(ns), tuple(counts)
 
 
+def _divisor_floor(count: int, limit: int) -> int:
+    # the smallest n with at least `count` divisors, or limit + 1 when no
+    # n <= limit has that many
+    ns, counts = _divisor_count_records(limit)
+    i = bisect_left(counts, count)
+    return ns[i] if i < len(ns) else limit + 1
+
+
 class _BestCandidate:
     """Running minimum over equal-length decompositions.
 
     Order: divisor count of the largest denominator (descending, when the
     policy prefers divisor-rich), then smallest largest denominator, then
     lexicographically smallest sequence.
+
+    ``y_floor`` is the smallest n with as many divisors as the best form's
+    largest denominator under the divisor-rich order, so a form that wins
+    or ties ends in a denominator of at least ``y_floor``; it is 0 before
+    the first offer and without that order.
     """
 
     def __init__(self, policy: DecompositionPolicy):
         self.rich = policy.prefer_divisor_rich
+        self.record_limit = min(policy.max_denominator, _DIVISOR_COUNT_RECORD_LIMIT)
         self.best: tuple | None = None
         self.dens: tuple[int, ...] | None = None
+        self.y_floor = 0
 
     def offer(self, dens: tuple[int, ...]) -> None:
         largest = dens[-1]
@@ -244,6 +272,8 @@ class _BestCandidate:
         else:
             key = (largest, dens)
         if self.best is None or key < self.best:
+            if self.rich and (self.best is None or key[0] != self.best[0]):
+                self.y_floor = _divisor_floor(divisors, self.record_limit)
             self.best = key
             self.dens = dens
 
@@ -252,13 +282,19 @@ def _two_term_into(
     a: int, b: int, b_factors: dict[int, int] | None, d_min: int, max_den: int,
     prefix: tuple[int, ...], best: _BestCandidate,
 ) -> None:
-    # all x < y with 1/x + 1/y = a/b (lowest terms), x >= d_min, y <= max_den;
-    # the smallest possible y is 2b/a, so bail early when that overshoots
+    # all x < y with 1/x + 1/y = a/b (lowest terms), x >= d_min and
+    # best.y_floor <= y <= max_den; the smallest possible y is 2b/a, so bail
+    # early when that overshoots
     if 2 * b > a * max_den:
         return
-    # y <= max_den forces x >= b*max_den/(a*max_den - b), narrowing the scan
+    # x = b*y/(a*y - b) falls as y rises, so y <= max_den forces
+    # x >= b*max_den/(a*max_den - b) and y >= y_floor forces
+    # x <= b*y_floor/(a*y_floor - b), narrowing the window
     lo = max(d_min, b // a + 1, -(-b * max_den // (a * max_den - b)))
     hi = min(max_den, 2 * b // a)
+    y_floor = best.y_floor
+    if a * y_floor > b:
+        hi = min(hi, b * y_floor // (a * y_floor - b))
     if lo > hi:
         return
     if b_factors is None or hi - lo + 1 <= 4 * math.prod(e + 1 for e in b_factors.values()):
@@ -277,13 +313,14 @@ def _two_term_into(
     # and m + n = j*a (Rav). So m*m < b, y <= max_den needs m >= b/max_den,
     # n > m needs j > 2m/a and n <= b/m needs j <= (b/m + m)/a. x falls as
     # j rises, so x >= lo gives j <= lo*m/(lo*a - b), which also keeps
-    # y <= max_den, since lo is at least the x of y = max_den.
+    # y <= max_den, since lo is at least the x of y = max_den. The loop
+    # ignores hi, so y >= y_floor is checked on each solution.
     lo_excess = lo * a - b
     for m in _divisors_between(b, b_factors, -(-b // max_den), math.isqrt(b - 1)):
         q = b // m
         for j in range(2 * m // a + 1, min((q + m) // a, lo * m // lo_excess) + 1):
             n = j * a - m
-            if q % n == 0 and math.gcd(m, n) == 1:
+            if q % n == 0 and math.gcd(m, n) == 1 and j * q >= y_floor:
                 best.offer(prefix + (j * b // n, j * q))
 
 
@@ -300,8 +337,9 @@ def _best_k_term(f: Fraction, k: int, policy: DecompositionPolicy, best: _BestCa
     if k == 2:
         _two_term_into(a0, b0, root_factors, 2, max_den, (), best)
         return
-    record_limit = min(max_den, _DIVISOR_COUNT_RECORD_LIMIT)
-    record_ns, record_counts = _divisor_count_records(record_limit) if best.rich else ((), ())
+    # two distinct terms <= max_den sum to a fraction whose reduced
+    # denominator divides x*y <= max_den*(max_den - 1)
+    leaf_den_cap = max_den * (max_den - 1)
 
     def recurse(a: int, b: int, factors: dict[int, int] | None, path: tuple[int, ...], t: int, d_min: int) -> None:
         # a/b in lowest terms, factors its denominator's (None past 10**8)
@@ -318,24 +356,25 @@ def _best_k_term(f: Fraction, k: int, policy: DecompositionPolicy, best: _BestCa
             na, nb = a * d - b, b * d
             if na <= 0:
                 continue
-            if record_ns and best.best is not None:
-                # The child's t-1 terms exceed d, so all but its last sum
-                # to at most s = 1/(d+1) + ... + 1/(d+t-2), and its largest
-                # denominator is at most 1/(na/nb - s). If no n that small
-                # has as many divisors as the best's largest, nothing below
-                # can win or tie; the bound falls as d rises, so stop here.
+            # The child's t-1 terms exceed d, so all but its last sum to at
+            # most s = 1/(d+1) + ... + 1/(d+t-2), and its largest
+            # denominator is at most 1/(na/nb - s) when that gap is
+            # positive. Below the best's y_floor nothing can win or tie;
+            # the bound falls as d rises and y_floor never falls, so stop.
+            if t == 3:
+                s_num, s_den = 1, d + 1
+            else:
                 s_num, s_den = 0, 1
                 for i in range(d + 1, d + t - 1):
                     s_num, s_den = s_num * i + s_den, s_den * i
-                gap = na * s_den - nb * s_num
-                if gap > 0:
-                    bound = min(nb * s_den // gap, max_den)
-                    if bound <= record_limit and record_counts[bisect_right(record_ns, bound) - 1] < -best.best[0]:
-                        break
+            if nb * s_den < best.y_floor * (na * s_den - nb * s_num):
+                break
             g = math.gcd(na, nb)
             if g > 1:
                 na //= g
                 nb //= g
+            if t == 3 and nb > leaf_den_cap:
+                continue
             child = None
             if factors is not None:
                 # nb = b*d/g, and every prime of g divides d
@@ -360,11 +399,11 @@ def _best_k_term(f: Fraction, k: int, policy: DecompositionPolicy, best: _BestCa
 def _shortest(f: Fraction, policy: DecompositionPolicy) -> tuple[bool, list[int]]:
     # 0 < f < 1. Minimal term count wins; at equal length a form using the
     # 2/3 primitive is preferred, then the policy tie-break on denominators.
+    rest = f - TWO_THIRDS if policy.allow_two_thirds else None
     for k in range(1, policy.max_terms + 1):
-        if policy.allow_two_thirds:
-            if k == 1 and f == TWO_THIRDS:
+        if rest is not None:
+            if k == 1 and rest == 0:
                 return True, []
-            rest = f - TWO_THIRDS
             if k > 1 and rest > 0:
                 best = _BestCandidate(policy)
                 _best_k_term(rest, k - 1, policy, best)

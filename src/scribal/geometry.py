@@ -29,6 +29,17 @@ SQRT_DIGITS = 80
 Point = tuple[Fraction, Fraction]
 
 
+def _sqrt_lower(p: int, q: int, digits: int) -> tuple[int, int, bool]:
+    # (s, t, is_exact) for p/q >= 0 in lowest terms: s/t is sqrt(p/q) when
+    # p and q are perfect squares, else s/t <= sqrt(p/q) < (s + 1)/t with
+    # t = q*10**digits
+    rp, rq = math.isqrt(p), math.isqrt(q)
+    if rp * rp == p and rq * rq == q:
+        return rp, rq, True
+    scale = 10**digits
+    return math.isqrt(p * q * scale * scale), q * scale, False
+
+
 def sqrt_bounds(x: Fraction | int, digits: int = SQRT_DIGITS) -> tuple[Fraction, Fraction, bool]:
     """(lo, hi, is_exact) with lo <= sqrt(x) <= hi and hi - lo <= 10**-digits.
 
@@ -37,14 +48,9 @@ def sqrt_bounds(x: Fraction | int, digits: int = SQRT_DIGITS) -> tuple[Fraction,
     x = as_rational(x)
     if x < 0:
         raise ValueError("square root of a negative value")
-    p, q = x.numerator, x.denominator
-    rp, rq = math.isqrt(p), math.isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        root = Fraction(rp, rq)
-        return root, root, True
-    scale = 10**digits
-    s = math.isqrt(p * q * scale * scale)
-    return Fraction(s, q * scale), Fraction(s + 1, q * scale), False
+    s, t, is_exact = _sqrt_lower(x.numerator, x.denominator, digits)
+    lo = Fraction(s, t)
+    return lo, lo if is_exact else Fraction(s + 1, t), is_exact
 
 
 def decimal_string(x: Fraction, places: int = 12) -> str:
@@ -362,10 +368,13 @@ def edfu_error_report(
     # (a+c)(b+d)/4 = (ab + ad + cb + cd)/4, each product a single square root;
     # a product of two squared lattice lengths carries the scale to the fourth
     scale4 = scale**4
-    bounds = [sqrt_bounds(Fraction(prod, scale4), digits) for prod in (sa * sb, sa * sd, sc * sb, sc * sd)]
+    bounds = []
+    for prod in (sa * sb, sa * sd, sc * sb, sc * sd):
+        g = math.gcd(prod, scale4)
+        bounds.append(_sqrt_lower(prod // g, scale4 // g, digits))
     # the four lower bounds summed over one common denominator
-    common = math.lcm(*(lo.denominator for lo, _, _ in bounds))
-    lo_sum = sum(lo.numerator * (common // lo.denominator) for lo, _, _ in bounds)
+    common = math.lcm(*(t for _, t, _ in bounds))
+    lo_sum = sum(s * (common // t) for s, t, _ in bounds)
     historical = Fraction(lo_sum, 4 * common)
     approx_digits = None if all(is_exact for _, _, is_exact in bounds) else digits
     return ErrorReport.build(historical, _shoelace_area(lattice, scale), approx_digits)
@@ -420,8 +429,9 @@ def gerbert_isoceles_area(leg: Fraction | int, base: Fraction | int) -> ErrorRep
     if 2 * leg <= base:
         raise ValueError("triangle inequality needs 2*leg > base")
     historical = leg * base / 2
-    lo, hi, is_exact = sqrt_bounds(4 * leg**2 - base**2)
-    exact = base / 4 * lo
+    square = 4 * leg**2 - base**2
+    s, t, is_exact = _sqrt_lower(square.numerator, square.denominator, SQRT_DIGITS)
+    exact = base * s / (4 * t)
     if is_exact:
         return ErrorReport.build(historical, exact)
     return ErrorReport.build(historical, exact, approx_digits=SQRT_DIGITS)

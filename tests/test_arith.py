@@ -31,6 +31,7 @@ from scribal.arith import (
     _BestCandidate,
     _divisor_count_records,
     _factorize_small,
+    _greedy_unit_denominators,
     _two_term_into,
 )
 
@@ -177,6 +178,15 @@ class TestShortestSearch:
         u = decompose(F(2, 99), DecompositionPolicy(prefer_divisor_rich=False))
         assert u.denominators == (90, 110)
 
+    def test_three_term_form_ending_in_the_two_largest_denominators(self):
+        # 1/d + 1/(M-1) + 1/M leaves the leaf (2M-1)/(M(M-1)) in lowest
+        # terms, so the leaf denominator cap must let nb = M(M-1) through
+        for M, d in [(8, 3), (8, 5), (9, 4), (11, 6)]:
+            value = F(1, d) + F(1, M - 1) + F(1, M)
+            policy = DecompositionPolicy(max_terms=3, max_denominator=M)
+            assert brute_force_decompositions(value, 3, M) == [(d, M - 1, M)]
+            assert decompose(value, policy).denominators == (d, M - 1, M), (M, d)
+
     def test_deterministic(self):
         assert decompose(F(8, 11)) == decompose(F(8, 11))
 
@@ -272,6 +282,8 @@ def reference_two_term_into(a, b, b_factors, d_min, max_den, prefix, best):
 class Offers:
     """Stands in for _BestCandidate and keeps every form offered."""
 
+    y_floor = 0
+
     def __init__(self):
         self.forms = []
 
@@ -306,13 +318,14 @@ def leaves(draw, xs=(2, 3000), max_y=20000, bs=(2, 10**6), planted_edges=False):
     return value.numerator, value.denominator, max(d_min, 2), max(max_den, 2)
 
 
-def leaf_forms(leaf, b_factors, *, reference=False):
+def leaf_forms(leaf, b_factors, *, reference=False, y_floor=0):
     """Every form a leaf offers, and whether the divisor-pair path ran."""
     a, b, d_min, max_den = leaf
     offers = Offers()
     if reference:
         reference_two_term_into(a, b, b_factors, d_min, max_den, (7,), offers)
         return sorted(offers.forms), None
+    offers.y_floor = y_floor
     with mock.patch.object(arith, "_divisors_between", wraps=arith._divisors_between) as spy:
         _two_term_into(a, b, b_factors, d_min, max_den, (7,), offers)
     return sorted(offers.forms), spy.called
@@ -379,6 +392,107 @@ class TestTwoTermLeafAgainstReference:
         for value in (F(4, 5), F(5, 6), F(7, 15), F(3, 7), F(8, 11)):
             u = decompose(value, policy)
             assert (u.two_thirds, u.denominators) == oracle_best(value, policy), value
+
+
+def divisor_counts_upto(limit):
+    """tau(n) for n = 0..limit by a sieve (tau(0) = 0)."""
+    counts = [0] * (limit + 1)
+    for d in range(1, limit + 1):
+        for multiple in range(d, limit + 1, d):
+            counts[multiple] += 1
+    return counts
+
+
+def draw_floor(data, forms, max_den):
+    """A y_floor on, next to or away from the largest denominators of forms."""
+    anywhere = st.integers(0, 2 * max_den)
+    near = [f[-1] + e for f in forms for e in (-1, 0, 1)]
+    return data.draw(st.sampled_from(near) | anywhere if near else anywhere)
+
+
+class TestIncumbentFloor:
+    # Given the incumbent's y_floor, a leaf offers exactly the reference
+    # leaf's forms whose largest denominator reaches it, on both sides of
+    # the switch to the linear scan and without a factorisation.
+    def floored(self, data, leaf, factors):
+        forms = leaf_forms(leaf, _factorize_small(leaf[1]), reference=True)[0]
+        y_floor = draw_floor(data, forms, leaf[3])
+        got, by_pairs = leaf_forms(leaf, factors, y_floor=y_floor)
+        assert got == [form for form in forms if form[-1] >= y_floor], y_floor
+        return by_pairs
+
+    @given(leaves(xs=(200, 3000), planted_edges=True), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_divisor_pair_side(self, leaf, data):
+        assume(self.floored(data, leaf, _factorize_small(leaf[1])))
+
+    @given(leaves(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_scan_side(self, leaf, data):
+        assume(not self.floored(data, leaf, _factorize_small(leaf[1])))
+
+    @given(leaves(xs=(10**4, 3 * 10**4), max_y=4 * 10**4, bs=(10**8 + 1, 10**12)), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unfactored_denominator(self, leaf, data):
+        assume(leaf[1] > 10**8)
+        assert not self.floored(data, leaf, None)
+
+    def test_y_floor_matches_a_sieve(self):
+        # for every divisor count T up to n = 20000, the floor is the
+        # smallest n with at least T divisors
+        limit = 20000
+        counts = divisor_counts_upto(limit)
+        first = {}
+        for n in range(1, limit + 1):
+            for count in range(1, counts[n] + 1):
+                first.setdefault(count, n)
+        policy = DecompositionPolicy(max_denominator=limit)
+        for n in range(1, limit + 1):
+            best = _BestCandidate(policy)
+            best.offer((n,))
+            assert best.y_floor == first[counts[n]], n
+
+    def test_y_floor_follows_the_best(self):
+        best = _BestCandidate(DecompositionPolicy(max_denominator=100))
+        assert best.y_floor == 0
+        best.offer((2, 7))  # 2 divisors: any n >= 2 ties
+        assert best.y_floor == 2
+        best.offer((3, 12))  # 6 divisors
+        assert best.y_floor == 12
+        best.offer((4, 11))  # loses, the floor stays
+        assert best.y_floor == 12
+        best.offer((5, 60))  # 12 divisors
+        assert best.y_floor == 60
+
+    def test_y_floor_past_the_records(self):
+        # the search offers nothing past max_denominator; a count no n up
+        # to the record limit reaches puts the floor just past that limit
+        best = _BestCandidate(DecompositionPolicy(max_denominator=12))
+        best.offer((5040,))
+        assert best.y_floor == 13
+
+    def test_y_floor_without_the_divisor_rich_order(self):
+        best = _BestCandidate(DecompositionPolicy(prefer_divisor_rich=False))
+        best.offer((2, 60))
+        assert best.y_floor == 0
+
+
+def reference_greedy(f):
+    """The Fraction loop the integer greedy replaced, kept as the reference."""
+    dens = []
+    while f > 0:
+        d = -(-f.denominator // f.numerator)
+        dens.append(d)
+        f -= F(1, d)
+    return dens
+
+
+@given(st.integers(1, 2000), st.integers(2, 2000))
+@settings(max_examples=300, deadline=None)
+def test_integer_greedy_matches_fraction_loop(a, b):
+    f = F(a, b) - a // b
+    assume(f > 0)
+    assert _greedy_unit_denominators(f) == reference_greedy(f)
 
 
 class TestExactnessCampaign:
@@ -452,6 +566,11 @@ class TestSplitting:
     def test_resolve_duplicates_identity(self):
         assert resolve_duplicates([3], [3]) == [3, 4, 12]
         assert sum(F(1, d) for d in resolve_duplicates([2, 6], [2, 6])) == F(4, 3)
+
+    def test_resolve_step_limit_is_a_value_error(self, monkeypatch):
+        monkeypatch.setattr(arith, "_DUPLICATE_STEP_LIMIT", 3)
+        with pytest.raises(ValueError, match="did not settle within 3 splitting steps"):
+            resolve_duplicates([2, 3, 6], [2, 3, 6])
 
     def test_resolve_keeps_disjoint_lists(self):
         assert resolve_duplicates([2, 5], [3, 7]) == [2, 3, 5, 7]

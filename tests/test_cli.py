@@ -232,6 +232,13 @@ class TestErrorContract:
         code, _, err = run(capsys, "decompose", "1/10001")
         assert code == 1 and "max_denominator" in err
 
+    def test_duplicate_resolution_limit_exit_one(self, capsys, monkeypatch):
+        # a lowered step limit stands in for an input that cascades too far
+        monkeypatch.setattr(arith, "_DUPLICATE_STEP_LIMIT", 0)
+        code, out, err = run(capsys, "decompose", "7/10", "--strategy", "splitting")
+        assert code == 1 and out == ""
+        assert err == "scribal: duplicate resolution did not settle within 0 splitting steps\n"
+
     def test_unknown_subcommand_usage(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["transcribe"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from scribal import corpus, equations
+from scribal import arith, corpus, equations
 from scribal.corpus import (
     CATEGORIES,
     ENGINE_ERROR,
@@ -131,6 +131,22 @@ class TestReplay:
         monkeypatch.setitem(corpus._CATEGORY_COMPUTE, "hau", broken)
         with pytest.raises(TypeError, match="compute bug"):
             replay(load_corpus(make_doc([HAU]))[0])
+
+    def test_duplicate_resolution_limit_is_engine_error(self, monkeypatch):
+        # no category decomposes by splitting, so one is made to; a lowered
+        # step limit stands in for an input that cascades too far
+        splitting = arith.DecompositionPolicy(strategy=arith.SPLITTING)
+
+        def split_share(problem):
+            share = Fraction(problem.inputs["loaves"], problem.inputs["men"])
+            return arith.decompose(share, splitting).value()
+
+        monkeypatch.setitem(corpus._CATEGORY_COMPUTE, "loaf_division", split_share)
+        monkeypatch.setattr(arith, "_DUPLICATE_STEP_LIMIT", 0)
+        problem = {"id": "split", "category": "loaf_division", "inputs": {"loaves": 7, "men": 10}}
+        verdict = replay(load_corpus(make_doc([problem]))[0])
+        assert verdict.status == ENGINE_ERROR
+        assert verdict.note == "duplicate resolution did not settle within 0 splitting steps"
 
     def test_progression_below_one_share_is_engine_error(self):
         # same verdict note as the library's own share split gives
