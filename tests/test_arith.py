@@ -394,15 +394,6 @@ class TestTwoTermLeafAgainstReference:
             assert (u.two_thirds, u.denominators) == oracle_best(value, policy), value
 
 
-def divisor_counts_upto(limit):
-    """tau(n) for n = 0..limit by a sieve (tau(0) = 0)."""
-    counts = [0] * (limit + 1)
-    for d in range(1, limit + 1):
-        for multiple in range(d, limit + 1, d):
-            counts[multiple] += 1
-    return counts
-
-
 def draw_floor(data, forms, max_den):
     """A y_floor on, next to or away from the largest denominators of forms."""
     anywhere = st.integers(0, 2 * max_den)
@@ -441,7 +432,10 @@ class TestIncumbentFloor:
         # for every divisor count T up to n = 20000, the floor is the
         # smallest n with at least T divisors
         limit = 20000
-        counts = divisor_counts_upto(limit)
+        counts = [0] * (limit + 1)
+        for d in range(1, limit + 1):
+            for multiple in range(d, limit + 1, d):
+                counts[multiple] += 1
         first = {}
         for n in range(1, limit + 1):
             for count in range(1, counts[n] + 1):
