@@ -367,3 +367,28 @@ class TestParserPaths:
             main(["--help"])
         capsys.readouterr()
         assert built == ["decompose", "mul", None]
+
+
+# record with tests/record_cli_golden.py only from a commit whose outputs are trusted
+CLI_GOLDEN = json.loads((Path(__file__).with_name("golden") / "cli.json").read_text())
+
+
+class TestGoldenOutputs:
+    def test_outputs_match_golden_file(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(Path(__file__).parent)
+        same_python = sys.version_info[:2] == tuple(CLI_GOLDEN["python"])
+        compared, differing = 0, []
+        for run in CLI_GOLDEN["runs"]:
+            argparse_text = run["exit"] == 2 or "--help" in run["argv"]
+            if argparse_text and not same_python:
+                continue  # argparse words its help and usage differently across versions
+            try:
+                code = main(list(run["argv"]))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            compared += 1
+            if (code, out, err) != (run["exit"], run["stdout"], run["stderr"]):
+                differing.append(run["argv"])
+        assert differing == [] and compared > 100
