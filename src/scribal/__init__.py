@@ -76,7 +76,6 @@ from .geometry import (
 from .rational import (
     Rational,
     UnitFractionSum,
-    from_unit_fractions,
     parse_rational,
     parse_unit_fraction_sum,
     render_rational,

@@ -21,15 +21,13 @@ Strategies:
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from io import StringIO
-import csv
 
+from .formats import render
 from .rational import TWO_THIRDS, UnitFractionSum, as_rational
 
 GREEDY = "greedy"
@@ -490,27 +488,23 @@ def table_2_over_n(
     return entries
 
 
+_TABLE_COLUMNS = ("n", "terms", "decomposition", "value_check")
+
+
+def _table_records(entries: list[TableEntry]) -> list[dict]:
+    return [
+        dict(zip(_TABLE_COLUMNS, (e.n, e.term_count, e.decomposition.render(), str(e.value()))))
+        for e in entries
+    ]
+
+
 def table_to_csv(entries: list[TableEntry]) -> str:
     """CSV export with a recomposition check column; byte-stable."""
-    out = StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["n", "terms", "decomposition", "value_check"])
-    for e in entries:
-        writer.writerow([e.n, e.term_count, e.decomposition.render(), str(e.value())])
-    return out.getvalue()
+    return render("csv", "", _table_records(entries), _TABLE_COLUMNS)
 
 
 def table_to_json(entries: list[TableEntry]) -> str:
-    rows = [
-        {
-            "n": e.n,
-            "terms": e.term_count,
-            "decomposition": e.decomposition.render(),
-            "value_check": str(e.value()),
-        }
-        for e in entries
-    ]
-    return json.dumps(rows, indent=2) + "\n"
+    return render("json", "", _table_records(entries))
 
 
 @dataclass(frozen=True)

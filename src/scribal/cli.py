@@ -10,17 +10,13 @@ problem statement's coefficient terms are written.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from fractions import Fraction
-from io import StringIO
 from random import Random
 
 from . import arith, corpus, equations, geometry
+from .formats import FORMATS, render
 from .rational import parse_rational
-
-FORMATS = ("text", "json", "csv")
 
 
 def _rational(text: str) -> Fraction:
@@ -30,31 +26,8 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _decimal6(x: Fraction) -> str:
-    return geometry.decimal_string(x, 6)
-
-
 def _rational_terms(text: str) -> list[Fraction]:
     return [_rational(part) for part in text.split(",") if part.strip()]
-
-
-def _csv(header: list[str], rows: list[list[object]]) -> str:
-    out = StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
-
-
-def _emit(args, text: str, payload, header=None, rows=None) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        if header is None:
-            header, rows = ["result"], [[text]]
-        sys.stdout.write(_csv(header, rows))
-    else:
-        print(text)
 
 
 def _add_policy_flags(parser, base: arith.DecompositionPolicy) -> None:
@@ -85,74 +58,52 @@ def _policy(args) -> arith.DecompositionPolicy:
     )
 
 
-def _cmd_decompose(args) -> None:
+# Each handler returns its output in args.format; records whose CSV is
+# not simply the JSON document pass their own columns or rows.
+
+
+def _cmd_decompose(args) -> str:
     u = arith.decompose(args.value, _policy(args))
-    _emit(
-        args,
-        f"{args.value} = {u.render()}",
-        {"value": str(args.value), "decomposition": u.render(), "terms": u.term_count},
-        ["value", "decomposition", "terms"],
-        [[str(args.value), u.render(), u.term_count]],
-    )
+    doc = {"value": str(args.value), "decomposition": u.render(), "terms": u.term_count}
+    return render(args.format, f"{args.value} = {u.render()}", doc)
 
 
-def _cmd_table2n(args) -> None:
+def _cmd_table2n(args) -> str:
     entries = arith.table_2_over_n(_policy(args), n_max=args.max, include_even=args.include_even)
     if args.format == "json":
-        sys.stdout.write(arith.table_to_json(entries))
-    elif args.format == "csv":
-        sys.stdout.write(arith.table_to_csv(entries))
-    else:
-        for e in entries:
-            print(f"2/{e.n:<3} = {e.decomposition.render()}")
+        return arith.table_to_json(entries)
+    if args.format == "csv":
+        return arith.table_to_csv(entries)
+    return "".join(f"2/{e.n:<3} = {e.decomposition.render()}\n" for e in entries)
 
 
-def _cmd_mul(args) -> None:
+def _cmd_mul(args) -> str:
     result = arith.duplation_multiply(args.a, args.b)
-    _emit(
-        args,
-        result.render(),
-        {
-            "a": result.multiplier,
-            "b": result.multiplicand,
-            "product": result.product,
-            "rows": [
-                {"power": r.power, "value": r.value, "selected": r.selected} for r in result.rows
-            ],
-        },
-        ["power", "value", "selected"],
-        [[r.power, r.value, int(r.selected)] for r in result.rows],
-    )
+    rows = [{"power": r.power, "value": r.value, "selected": r.selected} for r in result.rows]
+    doc = {"a": result.multiplier, "b": result.multiplicand, "product": result.product, "rows": rows}
+    csv_rows = [{**row, "selected": int(row["selected"])} for row in rows]
+    return render(args.format, result.render(), doc, rows=csv_rows)
 
 
-def _cmd_loaves(args) -> None:
+def _cmd_loaves(args) -> str:
     share = arith.divide_loaves(args.loaves, args.men, _policy(args))
-    _emit(
-        args,
-        f"{share.render()} (= {share.value()})",
-        {
-            "loaves": args.loaves,
-            "men": args.men,
-            "share": share.render(),
-            "share_value": str(share.value()),
-        },
-        ["loaves", "men", "share", "share_value"],
-        [[args.loaves, args.men, share.render(), str(share.value())]],
-    )
+    doc = {
+        "loaves": args.loaves,
+        "men": args.men,
+        "share": share.render(),
+        "share_value": str(share.value()),
+    }
+    return render(args.format, f"{share.render()} (= {share.value()})", doc)
 
 
-def _cmd_sequem(args) -> None:
+def _cmd_sequem(args) -> str:
     result = arith.sequem_complete(args.given, args.target, args.mode)
-    _emit(
-        args,
-        str(result),
-        {"given": str(args.given), "target": str(args.target), "mode": args.mode, "result": str(result)},
-        ["given", "target", "mode", "result"],
-        [[str(args.given), str(args.target), args.mode, str(result)]],
-    )
+    doc = {"given": str(args.given), "target": str(args.target), "mode": args.mode,
+           "result": str(result)}
+    return render(args.format, str(result), doc)
 
 
-def _cmd_hau(args) -> None:
+def _cmd_hau(args) -> str:
     problem = equations.HauProblem.from_terms(args.multiplier, args.target)
     trace = None
     if args.guess is not None:
@@ -163,107 +114,61 @@ def _cmd_hau(args) -> None:
     text = f"{answer} ({unit.render()})" if unit else str(answer)
     if trace:
         text = trace.render() + "\n" + text
-    _emit(
-        args,
-        text,
-        {
-            "multiplier": str(problem.multiplier),
-            "target": str(problem.target),
-            "answer": str(answer),
-            "unit_fractions": unit.render() if unit else None,
-            "trace": trace.as_dict() if trace else None,
-        },
-        ["multiplier", "target", "answer", "unit_fractions"],
-        [[str(problem.multiplier), str(problem.target), str(answer), unit.render() if unit else ""]],
-    )
+    doc = {
+        "multiplier": str(problem.multiplier),
+        "target": str(problem.target),
+        "answer": str(answer),
+        "unit_fractions": unit.render() if unit else None,
+        "trace": trace.as_dict() if trace else None,
+    }
+    return render(args.format, text, doc, ["multiplier", "target", "answer", "unit_fractions"])
 
 
-def _cmd_shares(args) -> None:
+def _cmd_shares(args) -> str:
     shares = equations.arithmetic_shares(args.count, args.total, args.difference)
-    _emit(
-        args,
-        ", ".join(str(s) for s in shares),
-        {"shares": [str(s) for s in shares], "total": str(sum(shares))},
-        ["index", "share"],
-        [[i + 1, str(s)] for i, s in enumerate(shares)],
-    )
+    texts = [str(s) for s in shares]
+    rows = [{"index": i, "share": s} for i, s in enumerate(texts, 1)]
+    doc = {"shares": texts, "total": str(sum(shares))}
+    return render(args.format, ", ".join(texts), doc, rows=rows)
 
 
-def _cmd_ladder(args) -> None:
+def _cmd_ladder(args) -> str:
     ladder = equations.geometric_ladder(args.base, args.top)
-    _emit(
-        args,
-        ladder.render(),
-        {
-            "rungs": [{"exponent": r.exponent, "label": r.label, "value": r.value} for r in ladder.rungs],
-            "total": ladder.total,
-        },
-        ["exponent", "label", "value"],
-        [[r.exponent, r.label, r.value] for r in ladder.rungs],
-    )
+    rungs = [{"exponent": r.exponent, "label": r.label, "value": r.value} for r in ladder.rungs]
+    return render(args.format, ladder.render(), {"rungs": rungs, "total": ladder.total}, rows=rungs)
 
 
-_AREA_BUILDERS = {
-    "square": (("side",), lambda a: geometry.square_area(a.side)),
-    "rectangle": (("width", "height"), lambda a: geometry.rect_area(a.width, a.height)),
-    "triangle": (("base", "height"), lambda a: geometry.triangle_area(a.base, a.height)),
-    "two-sides": (("s1", "s2"), lambda a: geometry.triangle_area_two_sides(a.s1, a.s2)),
-    "trapezoid": (("p1", "p2", "height"), lambda a: geometry.trapezoid_area(a.p1, a.p2, a.height)),
-}
+# the field shapes (circle and edfu have commands of their own) and their
+# dimension flags, each once, in the shapes' order
+_AREA_SHAPES = {s.replace("_", "-"): s for s in geometry.AREA_RULES if s not in ("circle", "edfu")}
+_AREA_FLAGS = dict.fromkeys(f for s in _AREA_SHAPES.values() for f in geometry.AREA_RULES[s][0])
 
 
-def _cmd_area(args) -> None:
-    needed, fn = _AREA_BUILDERS[args.shape]
+def _cmd_area(args) -> str:
+    needed, rule = geometry.AREA_RULES[_AREA_SHAPES[args.shape]]
     missing = [f"--{f}" for f in needed if getattr(args, f) is None]
     if missing:
         raise ValueError(f"shape {args.shape!r} needs {' '.join(missing)}")
-    area = fn(args)
-    _emit(
-        args,
-        str(area),
-        {"shape": args.shape, "area": str(area)},
-        ["shape", "area"],
-        [[args.shape, str(area)]],
-    )
+    area = rule(*(getattr(args, f) for f in needed))
+    return render(args.format, str(area), {"shape": args.shape, "area": str(area)})
 
 
-def _cmd_circle(args) -> None:
+def _cmd_circle(args) -> str:
     area = geometry.circle_area_egyptian(args.diameter)
-    _emit(
-        args,
-        str(area),
-        {"diameter": str(args.diameter), "area": str(area)},
-        ["diameter", "area"],
-        [[str(args.diameter), str(area)]],
-    )
+    return render(args.format, str(area), {"diameter": str(args.diameter), "area": str(area)})
 
 
-def _report_rows(label: str, report: geometry.ErrorReport) -> list[object]:
-    d = report.as_dict()
-    return [label, d["historical"], d["exact_decimal"], d["abs_error_decimal"], d["rel_error"] or ""]
+_PI_COLUMNS = ["historical", "exact_decimal", "abs_error_decimal", "rel_error"]
 
 
-def _cmd_pi_error(args) -> None:
+def _cmd_pi_error(args) -> str:
     if args.compare:
         rows = geometry.pi_comparison_set(args.digits)
         text = "\n\n".join(f"{label}\n{rep.render()}" for label, rep in rows)
-        _emit(
-            args,
-            text,
-            [{"label": label, **rep.as_dict()} for label, rep in rows],
-            ["label", "historical", "exact_decimal", "abs_error_decimal", "rel_error"],
-            [_report_rows(label, rep) for label, rep in rows],
-        )
-    else:
-        report = geometry.implied_pi_error(args.digits)
-        d = report.as_dict()
-        _emit(
-            args,
-            report.render(),
-            d,
-            ["historical", "exact_decimal", "abs_error_decimal", "rel_error"],
-            [[d["historical"], d["exact_decimal"], d["abs_error_decimal"], d["rel_error"] or ""]],
-        )
+        doc = [{"label": label, **rep.as_dict()} for label, rep in rows]
+        return render(args.format, text, doc, ["label", *_PI_COLUMNS])
+    report = geometry.implied_pi_error(args.digits)
+    return render(args.format, report.render(), report.as_dict(), _PI_COLUMNS)
 
 
 def _parse_coords(text: str) -> list[tuple[Fraction, Fraction]]:
@@ -276,7 +181,7 @@ def _parse_coords(text: str) -> list[tuple[Fraction, Fraction]]:
     return points
 
 
-def _cmd_edfu(args) -> None:
+def _cmd_edfu(args) -> str:
     if args.random < 0:
         raise ValueError(f"--random takes a count N >= 0, got {args.random}")
     if args.random:
@@ -293,32 +198,21 @@ def _cmd_edfu(args) -> None:
         text = (
             f"{args.random} random convex quadrilaterals (seed {args.seed}): "
             f"rule never under-estimated; {zero_count} exact; "
-            f"worst over-estimate {_decimal6(worst[0])} on {worst[1]}"
+            f"worst over-estimate {geometry.decimal_string(worst[0], 6)} on {worst[1]}"
         )
-        _emit(
-            args,
-            text,
-            {
-                "count": args.random,
-                "seed": args.seed,
-                "exact_matches": zero_count,
-                "worst_abs_error": str(worst[0]),
-                "worst_quad": [list(p) for p in worst[1]],
-            },
-        )
-        return
+        doc = {
+            "count": args.random,
+            "seed": args.seed,
+            "exact_matches": zero_count,
+            "worst_abs_error": str(worst[0]),
+            "worst_quad": [list(p) for p in worst[1]],
+        }
+        return render(args.format, text, doc, rows=[{"result": text}])
     if args.coords:
         points = _parse_coords(args.coords)
         report = geometry.edfu_error_report(points)
-        _emit(
-            args,
-            report.render(),
-            report.as_dict(),
-            ["historical", "exact", "abs_error", "rel_error"],
-            [[str(report.historical), str(report.exact), str(report.absolute_error),
-              str(report.relative_error) if report.relative_error is not None else ""]],
-        )
-        return
+        columns = ["historical", "exact", "abs_error", "rel_error"]
+        return render(args.format, report.render(), report.as_dict(), columns)
     if not args.sides:
         raise ValueError("edfu needs --sides, --coords, or --random")
     sides = args.sides
@@ -329,16 +223,12 @@ def _cmd_edfu(args) -> None:
     split = geometry.edfu_area_via_diagonal_split(quad)
     if split != area:
         raise RuntimeError(f"edfu area {area} disagrees with its diagonal-split check {split}")
-    _emit(
-        args,
-        str(area),
-        {"sides": [str(s) for s in sides], "area": str(area), "diagonal_split_check": str(split)},
-        ["sides", "area"],
-        [["|".join(str(s) for s in sides), str(area)]],
-    )
+    doc = {"sides": [str(s) for s in sides], "area": str(area), "diagonal_split_check": str(split)}
+    rows = [{"sides": "|".join(doc["sides"]), "area": str(area)}]
+    return render(args.format, str(area), doc, rows=rows)
 
 
-def _cmd_seked(args) -> None:
+def _cmd_seked(args) -> str:
     given = {name: getattr(args, name) for name in ("base", "height", "seked")}
     have = [k for k, v in given.items() if v is not None]
     if len(have) != 2:
@@ -354,56 +244,34 @@ def _cmd_seked(args) -> None:
     payload["parts"] = args.parts
     seked_value = parse_rational(payload["seked"])
     payload["cotangent"] = str(geometry.seked_cotangent(seked_value, args.parts))
-    _emit(
-        args,
-        f"{solved} = {value}",
-        payload,
-        ["base", "height", "seked", "parts", "cotangent"],
-        [[payload["base"], payload["height"], payload["seked"], args.parts, payload["cotangent"]]],
-    )
+    return render(args.format, f"{solved} = {value}", payload)
 
 
-def _cmd_shadow(args) -> None:
+def _cmd_shadow(args) -> str:
     height = geometry.shadow_height(args.shadow, args.stick, args.stick_shadow)
-    _emit(
-        args,
-        str(height),
-        {"object_shadow": str(args.shadow), "reference_height": str(args.stick),
-         "reference_shadow": str(args.stick_shadow), "height": str(height)},
-        ["object_shadow", "reference_height", "reference_shadow", "height"],
-        [[str(args.shadow), str(args.stick), str(args.stick_shadow), str(height)]],
-    )
+    doc = {"object_shadow": str(args.shadow), "reference_height": str(args.stick),
+           "reference_shadow": str(args.stick_shadow), "height": str(height)}
+    return render(args.format, str(height), doc)
 
 
-def _cmd_granary(args) -> None:
+def _cmd_granary(args) -> str:
     volume = geometry.granary_volume(args.floor_area, args.length)
-    _emit(
-        args,
-        str(volume),
-        {"floor_area": str(args.floor_area), "length": str(args.length), "volume": str(volume)},
-        ["floor_area", "length", "volume"],
-        [[str(args.floor_area), str(args.length), str(volume)]],
-    )
+    doc = {"floor_area": str(args.floor_area), "length": str(args.length), "volume": str(volume)}
+    return render(args.format, str(volume), doc)
 
 
-def _cmd_triples(args) -> None:
+def _cmd_triples(args) -> str:
     triples = geometry.rational_right_triangles(args.limit)
-    _emit(
-        args,
-        "\n".join(f"{a} {b} {c}" for a, b, c in triples),
-        [{"a": a, "b": b, "c": c} for a, b, c in triples],
-        ["a", "b", "c"],
-        [[a, b, c] for a, b, c in triples],
-    )
+    text = "\n".join(f"{a} {b} {c}" for a, b, c in triples)
+    return render(args.format, text, [{"a": a, "b": b, "c": c} for a, b, c in triples])
 
 
-def _cmd_corpus(args) -> None:
+def _cmd_corpus(args) -> str:
     if args.path:
         problems = corpus.load_corpus_file(args.path)
     else:
         problems = corpus.load_starter_corpus()
-    verdicts = corpus.replay_all(problems)
-    sys.stdout.write(corpus.render_report(verdicts, args.format))
+    return corpus.render_report(corpus.replay_all(problems), args.format)
 
 
 def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
@@ -451,9 +319,9 @@ COMMANDS = (
         _arg("--top", type=int, default=5),
     ), None, _cmd_ladder),
     ("area", "field areas by the recorded rules", (
-        _arg("--shape", choices=tuple(_AREA_BUILDERS), required=True),
+        _arg("--shape", choices=tuple(_AREA_SHAPES), required=True),
         *(_arg(f"--{flag}", type=_rational, default=None)
-          for flag in ("side", "width", "height", "base", "s1", "s2", "p1", "p2")),
+          for flag in _AREA_FLAGS),
     ), None, _cmd_area),
     ("circle", "circle area by the eight-ninths rule", (
         _arg("--diameter", type=_rational, required=True),
@@ -534,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     command = argv[0] if argv and argv[0] in COMMAND_NAMES else None
     args = build_parser(command).parse_args(argv)
     try:
-        args.fn(args)
+        sys.stdout.write(args.fn(args))
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"scribal: {exc}", file=sys.stderr)
         return 1

@@ -12,15 +12,14 @@ Reports are deterministic: identical corpus in, byte-identical report out.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from io import StringIO
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import arith, equations, geometry
+from .formats import render
 from .rational import parse_rational
 
 MATCH = "match"
@@ -74,140 +73,97 @@ def _int(value: object, field: str, problem_id: str) -> int:
     return value
 
 
-# The compute functions read the values typed and checked at load.
+def _terms(value: object, field: str, problem_id: str) -> list[Fraction]:
+    """A rational or a list of rationals, summed by the compute."""
+    return [_rat(term, "term", problem_id) for term in (value if isinstance(value, list) else [value])]
 
 
-def _compute_two_over_n(p: CorpusProblem) -> Fraction:
-    return arith.decompose(Fraction(2, p.inputs["n"]), arith.TABLE_POLICY).value()
+def _mode(value: object, field: str, problem_id: str) -> str:
+    if value not in (arith.ADDITIVE, arith.MULTIPLICATIVE):
+        raise CorpusFormatError(f"problem {problem_id!r}: field 'mode' must be additive or multiplicative")
+    return value
 
 
-def _compute_loaf_division(p: CorpusProblem) -> Fraction:
-    return arith.divide_loaves(p.inputs["loaves"], p.inputs["men"]).value()
+def _shape(value: object, field: str, problem_id: str) -> str:
+    return value  # checked first, since the shape names the other fields
 
 
-def _compute_sequem(p: CorpusProblem) -> Fraction:
-    return arith.sequem_complete(p.inputs["given"], p.inputs["target"], p.inputs["mode"])
-
-
-def _compute_hau(p: CorpusProblem) -> Fraction:
-    problem = equations.HauProblem.from_terms(p.inputs["multiplier"], p.inputs["target"])
-    return equations.solve_hau(problem)
-
-
-def _compute_tunnu(p: CorpusProblem) -> Fraction:
-    shares = equations.arithmetic_shares(
-        p.inputs["term_count"], p.inputs["total"], p.inputs["difference"]
-    )
-    return shares[0]  # the smallest share is the one the texts quote
-
-
-def _compute_progression(p: CorpusProblem) -> Fraction:
-    count, first, diff = p.inputs["term_count"], p.inputs["first_term"], p.inputs["difference"]
-    if count < 1:
+def _progression_total(term_count: int, first_term: Fraction, difference: Fraction) -> Fraction:
+    if term_count < 1:
         raise ValueError("need at least one share")  # arithmetic_shares' message, byte for byte
-    return count * first + Fraction(count * (count - 1), 2) * diff
+    return term_count * first_term + Fraction(term_count * (term_count - 1), 2) * difference
 
 
-_AREA_SHAPES = {
-    "square": (("side",), lambda v: geometry.square_area(v["side"])),
-    "rectangle": (("width", "height"), lambda v: geometry.rect_area(v["width"], v["height"])),
-    "triangle": (("base", "height"), lambda v: geometry.triangle_area(v["base"], v["height"])),
-    "two_sides": (("s1", "s2"), lambda v: geometry.triangle_area_two_sides(v["s1"], v["s2"])),
-    "trapezoid": (
-        ("p1", "p2", "height"),
-        lambda v: geometry.trapezoid_area(v["p1"], v["p2"], v["height"]),
+class _Category(NamedTuple):
+    kinds: dict  # field name -> the parser that types and checks it at load
+    compute: Callable[..., Fraction]  # the engine value from the typed fields, by name
+    optional: tuple[str, ...] = ()
+
+
+# A compute whose library function benchmarks/tracer.py wraps calls it
+# through the module attribute, so that the wrapper sees the call.
+_CATEGORIES: dict[str, _Category] = {
+    "two_over_n": _Category(
+        {"n": _int}, lambda n: arith.decompose(Fraction(2, n), arith.TABLE_POLICY).value()
     ),
-    "circle": (("diameter",), lambda v: geometry.circle_area_egyptian(v["diameter"])),
-    "edfu": (
-        ("a", "b", "c", "d"),
-        lambda v: geometry.edfu_area(geometry.SideQuad(v["a"], v["b"], v["c"], v["d"])),
+    "loaf_division": _Category(
+        {"loaves": _int, "men": _int}, lambda loaves, men: arith.divide_loaves(loaves, men).value()
+    ),
+    "sequem": _Category(
+        {"given": _rat, "target": _rat, "mode": _mode},
+        lambda given, target, mode: arith.sequem_complete(given, target, mode),
+    ),
+    "hau": _Category(
+        {"multiplier": _terms, "target": _rat},
+        lambda multiplier, target: equations.solve_hau(
+            equations.HauProblem.from_terms(multiplier, target)
+        ),
+    ),
+    # the smallest share is the one the texts quote
+    "tunnu": _Category(
+        {"term_count": _int, "total": _rat, "difference": _rat},
+        lambda term_count, total, difference: equations.smallest_share(term_count, total, difference),
+    ),
+    "progression": _Category(
+        {"term_count": _int, "first_term": _rat, "difference": _rat}, _progression_total
+    ),
+    # the dimensions come from geometry.AREA_RULES[shape]
+    "area": _Category(
+        {"shape": _shape}, lambda shape, **dims: geometry.AREA_RULES[shape][1](**dims)
+    ),
+    "volume": _Category({"floor_area": _rat, "length": _rat}, geometry.granary_volume),
+    "seked": _Category(
+        {"base": _rat, "height": _rat, "parts": _int}, geometry.seked_from, optional=("parts",)
+    ),
+    "ladder": _Category(
+        {"base": _int, "top_exponent": _int},
+        lambda base, top_exponent: Fraction(equations.geometric_ladder(base, top_exponent).total),
     ),
 }
 
-
-def _compute_area(p: CorpusProblem) -> Fraction:
-    _, fn = _AREA_SHAPES[p.inputs["shape"]]
-    return fn(p.inputs)
-
-
-def _compute_volume(p: CorpusProblem) -> Fraction:
-    return geometry.granary_volume(p.inputs["floor_area"], p.inputs["length"])
-
-
-def _compute_seked(p: CorpusProblem) -> Fraction:
-    return geometry.seked_from(p.inputs["base"], p.inputs["height"], p.inputs.get("parts", 7))
-
-
-def _compute_ladder(p: CorpusProblem) -> Fraction:
-    return Fraction(equations.geometric_ladder(p.inputs["base"], p.inputs["top_exponent"]).total)
-
-
-_CATEGORY_COMPUTE: dict[str, Callable[[CorpusProblem], Fraction]] = {
-    "two_over_n": _compute_two_over_n,
-    "loaf_division": _compute_loaf_division,
-    "sequem": _compute_sequem,
-    "hau": _compute_hau,
-    "tunnu": _compute_tunnu,
-    "progression": _compute_progression,
-    "area": _compute_area,
-    "volume": _compute_volume,
-    "seked": _compute_seked,
-    "ladder": _compute_ladder,
-}
-
-CATEGORIES = tuple(_CATEGORY_COMPUTE)
-
-# field kinds per category; "terms" is a rational or a list of rationals
-_INPUT_KINDS: dict[str, dict[str, str]] = {
-    "two_over_n": {"n": "int"},
-    "loaf_division": {"loaves": "int", "men": "int"},
-    "sequem": {"given": "rational", "target": "rational", "mode": "mode"},
-    "hau": {"multiplier": "terms", "target": "rational"},
-    "tunnu": {"term_count": "int", "total": "rational", "difference": "rational"},
-    "progression": {"term_count": "int", "first_term": "rational", "difference": "rational"},
-    "volume": {"floor_area": "rational", "length": "rational"},
-    "seked": {"base": "rational", "height": "rational", "parts": "int"},
-    "ladder": {"base": "int", "top_exponent": "int"},
-}
-_OPTIONAL_FIELDS = {"seked": ("parts",)}
+CATEGORIES = tuple(_CATEGORIES)
 
 
 def _validate_inputs(pid: str, category: str, inputs: dict) -> dict:
     # category fixes the field names and kinds; everything parses here, once,
     # so replay can only fail on engine-level value rejections
-    if category == "area":
+    kinds, _, optional = _CATEGORIES[category]
+    if "shape" in kinds:
         shape = inputs.get("shape")
-        if shape not in _AREA_SHAPES:
+        if shape not in geometry.AREA_RULES:
             raise CorpusFormatError(
-                f"problem {pid!r}: field 'shape' must be one of {sorted(_AREA_SHAPES)}"
+                f"problem {pid!r}: field 'shape' must be one of {sorted(geometry.AREA_RULES)}"
             )
-        kinds = {f: "rational" for f in _AREA_SHAPES[shape][0]}
-        kinds["shape"] = "shape"
-        optional: tuple[str, ...] = ()
-    else:
-        kinds = _INPUT_KINDS[category]
-        optional = _OPTIONAL_FIELDS.get(category, ())
+        kinds = {**dict.fromkeys(geometry.AREA_RULES[shape][0], _rat), **kinds}
     for f in kinds:
         if f not in inputs and f not in optional:
             raise CorpusFormatError(f"problem {pid!r}: category {category!r} needs field {f!r}")
     values: dict[str, object] = {}
     for f, value in inputs.items():
-        kind = kinds.get(f)
-        if kind is None:
+        parse = kinds.get(f)
+        if parse is None:
             raise CorpusFormatError(f"problem {pid!r}: unexpected field {f!r} for {category!r}")
-        if kind == "rational":
-            value = _rat(value, f, pid)
-        elif kind == "int":
-            value = _int(value, f, pid)
-        elif kind == "mode":
-            if value not in (arith.ADDITIVE, arith.MULTIPLICATIVE):
-                raise CorpusFormatError(
-                    f"problem {pid!r}: field 'mode' must be additive or multiplicative"
-                )
-        elif kind == "terms":
-            terms = value if isinstance(value, list) else [value]
-            value = [_rat(term, "term", pid) for term in terms]
-        values[f] = value
+        values[f] = parse(value, f, pid)
     return values
 
 
@@ -236,7 +192,7 @@ def load_corpus(document: str) -> list[CorpusProblem]:
             raise CorpusFormatError(f"duplicate problem id {pid!r}")
         seen.add(pid)
         category = raw.get("category")
-        if category not in _CATEGORY_COMPUTE:
+        if category not in _CATEGORIES:
             raise CorpusFormatError(
                 f"problem {pid!r}: unknown category {category!r}; expected one of {CATEGORIES}"
             )
@@ -278,9 +234,9 @@ def load_starter_corpus() -> list[CorpusProblem]:
 
 def replay(problem: CorpusProblem) -> ReplayVerdict:
     """Recompute one problem and compare with the recorded answer."""
-    compute = _CATEGORY_COMPUTE[problem.category]
+    compute = _CATEGORIES[problem.category].compute
     try:
-        engine_value = compute(problem)
+        engine_value = compute(**problem.inputs)
     except (ValueError, ArithmeticError) as exc:  # a value the engine rejects is a verdict
         return ReplayVerdict(problem.id, problem.category, ENGINE_ERROR, None, problem.scribal_answer, None, str(exc))
     if problem.scribal_answer is None:
@@ -330,13 +286,18 @@ def _verdict_row(v: ReplayVerdict) -> dict[str, object]:
     }
 
 
+# the CSV report leaves out the note
+_REPORT_COLUMNS = ("id", "category", "status", "engine_value", "scribal_value", "deviation")
+
+
 def render_report(verdicts: list[ReplayVerdict], fmt: str = "text") -> str:
     """Batch report over verdicts, ordered by problem id; byte-stable."""
     verdicts = sorted(verdicts, key=lambda v: v.problem_id)
     summary = error_summary(verdicts)
-    if fmt == "json":
+    if fmt != "text":
+        rows = [_verdict_row(v) for v in verdicts]
         doc = {
-            "problems": [_verdict_row(v) for v in verdicts],
+            "problems": rows,
             "summary": {
                 "total": summary.total,
                 "status_counts": summary.status_counts,
@@ -349,20 +310,7 @@ def render_report(verdicts: list[ReplayVerdict], fmt: str = "text") -> str:
                 ),
             },
         }
-        return json.dumps(doc, indent=2) + "\n"
-    if fmt == "csv":
-        out = StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["id", "category", "status", "engine_value", "scribal_value", "deviation"])
-        for v in verdicts:
-            row = _verdict_row(v)
-            writer.writerow([
-                row["id"], row["category"], row["status"],
-                row["engine_value"] or "", row["scribal_value"] or "", row["deviation"] or "",
-            ])
-        return out.getvalue()
-    if fmt != "text":
-        raise ValueError(f"unknown report format {fmt!r}")
+        return render(fmt, "", doc, _REPORT_COLUMNS, rows)
     width = max([len(v.problem_id) for v in verdicts] + [2])
     lines = [f"corpus replay: {summary.total} problems"]
     lines.append(

@@ -101,12 +101,20 @@ def arithmetic_shares(
     a large difference can push early shares negative, which is left to
     the caller to accept or reject.
     """
+    first = smallest_share(term_count, total, common_difference)
+    diff = as_rational(common_difference)
+    return [first + i * diff for i in range(term_count)]
+
+
+def smallest_share(
+    term_count: int, total: Fraction | int, common_difference: Fraction | int
+) -> Fraction:
+    """The first share of ``arithmetic_shares``, without building the others."""
     if term_count < 1:
         raise ValueError("need at least one share")
     total = as_rational(total)
     diff = as_rational(common_difference)
-    first = total / term_count - Fraction(term_count - 1, 2) * diff
-    return [first + i * diff for i in range(term_count)]
+    return total / term_count - Fraction(term_count - 1, 2) * diff
 
 
 @dataclass(frozen=True)

@@ -238,6 +238,19 @@ def edfu_area_via_diagonal_split(q: SideQuad) -> Fraction:
     return (first_cut + second_cut) / 2
 
 
+# Each field shape: its dimensions, in order, and the rule that takes them
+# (positionally or by those names) to the area.
+AREA_RULES = {
+    "square": (("side",), square_area),
+    "rectangle": (("width", "height"), rect_area),
+    "triangle": (("base", "height"), triangle_area),
+    "two_sides": (("s1", "s2"), triangle_area_two_sides),
+    "trapezoid": (("p1", "p2", "height"), trapezoid_area),
+    "circle": (("diameter",), circle_area_egyptian),
+    "edfu": (("a", "b", "c", "d"), lambda a, b, c, d: edfu_area(SideQuad(a, b, c, d))),
+}
+
+
 # -- exact polygon oracle -------------------------------------------------
 #
 # The checks below run on a lattice: every vertex is scaled by the least

@@ -33,25 +33,6 @@ def as_rational(x: int | Fraction) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-def add(a: Fraction, b: Fraction) -> Fraction:
-    return as_rational(a) + as_rational(b)
-
-
-def sub(a: Fraction, b: Fraction) -> Fraction:
-    return as_rational(a) - as_rational(b)
-
-
-def mul(a: Fraction, b: Fraction) -> Fraction:
-    return as_rational(a) * as_rational(b)
-
-
-def div(a: Fraction, b: Fraction) -> Fraction:
-    b = as_rational(b)
-    if b == 0:
-        raise ZeroDivisionError("division of a rational by zero")
-    return as_rational(a) / b
-
-
 @dataclass(frozen=True)
 class UnitFractionSum:
     """A value in scribal notation: whole part + optional 2/3 + unit fractions.
@@ -103,11 +84,6 @@ class UnitFractionSum:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def from_unit_fractions(u: UnitFractionSum) -> Fraction:
-    """Exact value of a unit-fraction sum (inverse of decomposition)."""
-    return u.value()
 
 
 def render_rational(x: Fraction) -> str:

@@ -78,9 +78,9 @@ class TestLoading:
             load_corpus("[]")
 
     def test_category_registry_matches_dispatch(self):
-        assert set(CATEGORIES) == set(corpus._CATEGORY_COMPUTE)
-        for fn in corpus._CATEGORY_COMPUTE.values():
-            assert callable(fn)
+        assert set(CATEGORIES) == set(corpus._CATEGORIES)
+        for category in corpus._CATEGORIES.values():
+            assert callable(category.compute)
 
     def test_value_types_checked_at_load(self):
         for bad_inputs in (
@@ -125,10 +125,11 @@ class TestReplay:
 
     def test_programming_error_propagates(self, monkeypatch):
         # only value rejections become engine_error verdicts; a bug is not one
-        def broken(problem):
+        def broken(**inputs):
             raise TypeError("compute bug")
 
-        monkeypatch.setitem(corpus._CATEGORY_COMPUTE, "hau", broken)
+        hau = corpus._CATEGORIES["hau"]._replace(compute=broken)
+        monkeypatch.setitem(corpus._CATEGORIES, "hau", hau)
         with pytest.raises(TypeError, match="compute bug"):
             replay(load_corpus(make_doc([HAU]))[0])
 
@@ -137,11 +138,11 @@ class TestReplay:
         # step limit stands in for an input that cascades too far
         splitting = arith.DecompositionPolicy(strategy=arith.SPLITTING)
 
-        def split_share(problem):
-            share = Fraction(problem.inputs["loaves"], problem.inputs["men"])
-            return arith.decompose(share, splitting).value()
+        def split_share(loaves, men):
+            return arith.decompose(Fraction(loaves, men), splitting).value()
 
-        monkeypatch.setitem(corpus._CATEGORY_COMPUTE, "loaf_division", split_share)
+        loaf_division = corpus._CATEGORIES["loaf_division"]._replace(compute=split_share)
+        monkeypatch.setitem(corpus._CATEGORIES, "loaf_division", loaf_division)
         monkeypatch.setattr(arith, "_DUPLICATE_STEP_LIMIT", 0)
         problem = {"id": "split", "category": "loaf_division", "inputs": {"loaves": 7, "men": 10}}
         verdict = replay(load_corpus(make_doc([problem]))[0])
@@ -169,6 +170,23 @@ class TestReplay:
         verdict = replay(load_corpus(make_doc([big]))[0])
         assert verdict.status == NO_RECORDED_ANSWER
         assert verdict.engine_value == count * F(1, 2) + F(count * (count - 1), 2) * F(1, 3)
+
+    def test_tunnu_builds_no_shares(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("shares built")
+
+        monkeypatch.setattr(equations, "arithmetic_shares", unused)
+        count = 300_000
+        big = {"id": "many-shares", "category": "tunnu",
+               "inputs": {"term_count": count, "total": "10", "difference": "1/8"}}
+        verdict = replay(load_corpus(make_doc([big]))[0])
+        assert verdict.status == NO_RECORDED_ANSWER
+        assert verdict.engine_value == F(10, count) - F(count - 1, 2) * F(1, 8)
+        none = {"id": "no-shares", "category": "tunnu",
+                "inputs": {"term_count": 0, "total": "10", "difference": "1/8"}}
+        verdict = replay(load_corpus(make_doc([none]))[0])
+        assert verdict.status == ENGINE_ERROR
+        assert verdict.note == "need at least one share"
 
     def test_ladder_over_cap_is_engine_error(self, monkeypatch):
         def unused(*args):

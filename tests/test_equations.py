@@ -13,6 +13,7 @@ from scribal.equations import (
     HauProblem,
     arithmetic_shares,
     geometric_ladder,
+    smallest_share,
     solve_hau,
     solve_hau_false_position,
 )
@@ -123,6 +124,22 @@ class TestArithmeticShares:
         assert sum(shares) == total
         for left, right in zip(shares, shares[1:]):
             assert right - left == difference
+
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.fractions(max_denominator=50),
+        st.fractions(max_denominator=50),
+    )
+    @settings(max_examples=300)
+    def test_smallest_share_is_the_first(self, count, total, difference):
+        assert smallest_share(count, total, difference) == arithmetic_shares(count, total, difference)[0]
+
+    def test_smallest_share_rejects_empty_alike(self):
+        with pytest.raises(ValueError) as built:
+            arithmetic_shares(0, 1, 1)
+        with pytest.raises(ValueError) as direct:
+            smallest_share(0, 1, 1)
+        assert str(direct.value) == str(built.value) == "need at least one share"
 
 
 class TestGeometricLadder:
