@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .formats import render
 from .rational import TWO_THIRDS, UnitFractionSum, as_rational
@@ -441,8 +442,7 @@ def decompose(r: Fraction | int, policy: DecompositionPolicy = DEFAULT_POLICY) -
     return UnitFractionSum(integer_part, marker, tuple(dens))
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     """One row of the doubling table: 2/n in scribal notation."""
 
     n: int
@@ -507,15 +507,13 @@ def table_to_json(entries: list[TableEntry]) -> str:
     return render("json", "", _table_records(entries))
 
 
-@dataclass(frozen=True)
-class DuplationRow:
+class DuplationRow(NamedTuple):
     power: int
     value: int
     selected: bool
 
 
-@dataclass(frozen=True)
-class DuplationResult:
+class DuplationResult(NamedTuple):
     """Product of two positive integers by doubling and adding.
 
     ``rows`` doubles the multiplicand once per line; the selected rows are
@@ -525,7 +523,7 @@ class DuplationResult:
     multiplier: int
     multiplicand: int
     product: int
-    rows: tuple[DuplationRow, ...] = field(repr=False)
+    rows: tuple[DuplationRow, ...]
 
     @property
     def selected_powers(self) -> list[int]:

@@ -13,9 +13,7 @@ Reports are deterministic: identical corpus in, byte-identical report out.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from typing import Callable, NamedTuple
 
 from . import arith, equations, geometry
@@ -33,18 +31,15 @@ class CorpusFormatError(ValueError):
     """A corpus document that does not follow the schema."""
 
 
-@dataclass(frozen=True)
-class CorpusProblem:
+class CorpusProblem(NamedTuple):
     id: str
     category: str
     inputs: dict  # field name -> value typed at load: Fraction, int, list of Fraction or str
     scribal_answer: Fraction | None
-    scribal_answer_text: str | None
     source_note: str
 
 
-@dataclass(frozen=True)
-class ReplayVerdict:
+class ReplayVerdict(NamedTuple):
     problem_id: str
     category: str
     status: str
@@ -150,7 +145,7 @@ def _validate_inputs(pid: str, category: str, inputs: dict) -> dict:
     kinds, _, optional = _CATEGORIES[category]
     if "shape" in kinds:
         shape = inputs.get("shape")
-        if shape not in geometry.AREA_RULES:
+        if not isinstance(shape, str) or shape not in geometry.AREA_RULES:  # JSON lists and objects do not hash
             raise CorpusFormatError(
                 f"problem {pid!r}: field 'shape' must be one of {sorted(geometry.AREA_RULES)}"
             )
@@ -192,7 +187,7 @@ def load_corpus(document: str) -> list[CorpusProblem]:
             raise CorpusFormatError(f"duplicate problem id {pid!r}")
         seen.add(pid)
         category = raw.get("category")
-        if category not in _CATEGORIES:
+        if not isinstance(category, str) or category not in _CATEGORIES:
             raise CorpusFormatError(
                 f"problem {pid!r}: unknown category {category!r}; expected one of {CATEGORIES}"
             )
@@ -214,7 +209,7 @@ def load_corpus(document: str) -> list[CorpusProblem]:
         note = raw.get("source_note", "")
         if not isinstance(note, str):
             raise CorpusFormatError(f"problem {pid!r}: 'source_note' must be a string")
-        problems.append(CorpusProblem(pid, category, values, answer, answer_text, note))
+        problems.append(CorpusProblem(pid, category, values, answer, note))
     return problems
 
 
@@ -225,6 +220,9 @@ def load_corpus_file(path) -> list[CorpusProblem]:
 
 def starter_corpus_text() -> str:
     """The bundled reconstruction corpus (one problem per category, plus slips)."""
+    # imported here, its only use: without site's preloads it costs an import of pathlib and zipfile
+    from importlib import resources
+
     return resources.files("scribal").joinpath("data/starter_corpus.json").read_text("utf-8")
 
 
@@ -250,8 +248,7 @@ def replay_all(problems: list[CorpusProblem]) -> list[ReplayVerdict]:
     return [replay(p) for p in sorted(problems, key=lambda p: p.id)]
 
 
-@dataclass(frozen=True)
-class ReplaySummary:
+class ReplaySummary(NamedTuple):
     total: int
     status_counts: dict
     category_counts: dict

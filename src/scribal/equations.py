@@ -8,9 +8,9 @@ for linear problems the rescaled trial is exact, so the two always agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .rational import as_rational
 
@@ -24,22 +24,25 @@ LADDER_MAX_DIGITS = 1000
 _LADDER_TOP_LIMIT = 10**LADDER_MAX_DIGITS
 
 
-@dataclass(frozen=True)
-class HauProblem:
+class HauProblem(namedtuple("HauProblem", "multiplier target")):
     """multiplier * x = target, with multiplier the summed coefficient.
 
     ``from_terms`` builds the multiplier from the problem statement's list
     (e.g. a quantity and its seventh: terms 1 and 1/7).
     """
 
-    multiplier: Fraction
-    target: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "multiplier", as_rational(self.multiplier))
-        object.__setattr__(self, "target", as_rational(self.target))
-        if self.multiplier == 0:
+    def __new__(cls, multiplier: Fraction | int, target: Fraction | int) -> HauProblem:
+        multiplier = as_rational(multiplier)
+        target = as_rational(target)
+        if multiplier == 0:
             raise ValueError("hau problem needs a nonzero multiplier")
+        return super().__new__(cls, multiplier, target)
+
+    @classmethod
+    def _make(cls, iterable) -> HauProblem:
+        return cls(*iterable)  # so that _replace validates too
 
     @classmethod
     def from_terms(cls, terms: Iterable[Fraction | int], target: Fraction | int) -> "HauProblem":
@@ -52,8 +55,7 @@ def solve_hau(problem: HauProblem) -> Fraction:
     return problem.target / problem.multiplier
 
 
-@dataclass(frozen=True)
-class FalsePositionTrace:
+class FalsePositionTrace(NamedTuple):
     """The worked steps: trial value, its outcome, and the exact rescale."""
 
     guess: Fraction
@@ -117,15 +119,13 @@ def smallest_share(
     return total / term_count - Fraction(term_count - 1, 2) * diff
 
 
-@dataclass(frozen=True)
-class LadderRung:
+class LadderRung(NamedTuple):
     exponent: int
     value: int
     label: str
 
 
-@dataclass(frozen=True)
-class GeometricLadder:
+class GeometricLadder(NamedTuple):
     rungs: tuple[LadderRung, ...]
     total: int
 

@@ -11,10 +11,10 @@ lower bounds with a stated number of correct decimal digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .rational import as_rational
 
@@ -62,8 +62,7 @@ def decimal_string(x: Fraction, places: int = 12) -> str:
     return f"{sign}{whole}.{frac:0{places}d}"
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """A historical value against its exact counterpart.
 
     ``absolute_error`` is historical - exact and ``relative_error`` divides
@@ -193,26 +192,28 @@ def granary_volume(floor_area: Fraction | int, length: Fraction | int) -> Fracti
 # -- the quadrilateral donation-text rule --------------------------------
 
 
-@dataclass(frozen=True)
-class SideQuad:
+class SideQuad(namedtuple("SideQuad", "a b c d")):
     """A quadrilateral by cyclic side lengths; opposite pairs (a,c), (b,d).
 
     One side may be zero, which is how the donation texts book triangles.
     """
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        sides = [as_rational(s) for s in (self.a, self.b, self.c, self.d)]
+    def __new__(
+        cls, a: Fraction | int, b: Fraction | int, c: Fraction | int, d: Fraction | int
+    ) -> SideQuad:
+        sides = [as_rational(s) for s in (a, b, c, d)]
         for name, s in zip("abcd", sides):
             if s < 0:
                 raise ValueError(f"side {name} must be >= 0, got {s}")
-            object.__setattr__(self, name, s)
         if sum(1 for s in sides if s == 0) > 1:
             raise ValueError("at most one side may be zero")
+        return super().__new__(cls, *sides)
+
+    @classmethod
+    def _make(cls, iterable) -> SideQuad:
+        return cls(*iterable)  # so that _replace validates too
 
     def sides(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
@@ -461,14 +462,22 @@ def is_right_triangle(a: Fraction | int, b: Fraction | int, c: Fraction | int) -
     return sides[0] ** 2 + sides[1] ** 2 == sides[2] ** 2
 
 
+# The triples are built whole and sorted before they are shown, so the
+# perimeter limit is capped: 10**6 gives 70,229 triples.
+TRIPLES_MAX_PERIMETER = 10**6
+
+
 def rational_right_triangles(perimeter_limit: int) -> list[tuple[int, int, int]]:
     """All primitive integer right triangles with perimeter within the limit.
 
     Sorted by perimeter, then by the shorter leg. The smallest has
-    perimeter 12, so smaller limits are rejected.
+    perimeter 12, so smaller limits are rejected, and a limit above
+    ``TRIPLES_MAX_PERIMETER`` is refused before any triple is built.
     """
     if not isinstance(perimeter_limit, int) or perimeter_limit < 12:
         raise ValueError("perimeter limit must be an integer >= 12")
+    if perimeter_limit > TRIPLES_MAX_PERIMETER:
+        raise ValueError(f"perimeter limit must be at most {TRIPLES_MAX_PERIMETER}, got {perimeter_limit}")
     triples: list[tuple[int, int, tuple[int, int, int]]] = []
     m = 2
     while 2 * m * (m + 1) <= perimeter_limit:

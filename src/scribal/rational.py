@@ -14,7 +14,7 @@ e.g. ``16 + 1/2 + 1/8``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 Rational = Fraction
@@ -33,8 +33,7 @@ def as_rational(x: int | Fraction) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class UnitFractionSum:
+class UnitFractionSum(namedtuple("UnitFractionSum", "integer_part two_thirds denominators")):
     """A value in scribal notation: whole part + optional 2/3 + unit fractions.
 
     ``denominators`` must be strictly increasing integers >= 2; the 2/3 term
@@ -43,21 +42,26 @@ class UnitFractionSum:
     negative; there is no sign in the notation.
     """
 
-    integer_part: int = 0
-    two_thirds: bool = False
-    denominators: tuple[int, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "denominators", tuple(self.denominators))
-        if not isinstance(self.integer_part, int) or self.integer_part < 0:
-            raise ValueError(f"integer part must be a non-negative integer, got {self.integer_part!r}")
+    def __new__(
+        cls, integer_part: int = 0, two_thirds: bool = False, denominators: tuple[int, ...] = ()
+    ) -> UnitFractionSum:
+        denominators = tuple(denominators)
+        if not isinstance(integer_part, int) or integer_part < 0:
+            raise ValueError(f"integer part must be a non-negative integer, got {integer_part!r}")
         prev = 1
-        for d in self.denominators:
+        for d in denominators:
             if not isinstance(d, int) or d < 2:
                 raise ValueError(f"unit-fraction denominator must be an integer >= 2, got {d!r}")
             if d <= prev:
-                raise ValueError(f"denominators must be strictly increasing, got {self.denominators}")
+                raise ValueError(f"denominators must be strictly increasing, got {denominators}")
             prev = d
+        return super().__new__(cls, integer_part, two_thirds, denominators)
+
+    @classmethod
+    def _make(cls, iterable) -> UnitFractionSum:
+        return cls(*iterable)  # so that _replace validates too
 
     def value(self) -> Fraction:
         """The exact Rational this notation denotes."""

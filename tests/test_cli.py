@@ -189,6 +189,11 @@ class TestGeometryCommands:
         code, out, _ = run(capsys, "triples", "--limit", "30")
         assert code == 0 and out == "3 4 5\n5 12 13\n"
 
+    def test_triples_over_cap_rejected(self, capsys):
+        code, out, err = run(capsys, "triples", "--limit", str(geometry.TRIPLES_MAX_PERIMETER + 1))
+        assert (code, out) == (1, "")
+        assert err == "scribal: perimeter limit must be at most 1000000, got 1000001\n"
+
     def test_triples_csv_matches_library(self, capsys):
         _, out, _ = run(capsys, "triples", "--limit", "100", "--format", "csv")
         rows = [tuple(map(int, line.split(","))) for line in out.strip().splitlines()[1:]]
@@ -217,6 +222,22 @@ class TestCorpusCommand:
         path.write_text("{")
         code, _, err = run(capsys, "corpus", str(path))
         assert code == 1 and "scribal:" in err
+
+    def test_unhashable_category_fails_cleanly(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"problems": [{"id": "x", "category": ["area"], "inputs": {}}]}))
+        code, out, err = run(capsys, "corpus", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("scribal: problem 'x': unknown category ['area']") and err.count("\n") == 1
+
+    def test_unhashable_shape_fails_cleanly(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"problems": [
+            {"id": "x", "category": "area", "inputs": {"shape": {"square": 1}, "side": "1"}}
+        ]}))
+        code, out, err = run(capsys, "corpus", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("scribal: problem 'x': field 'shape' must be one of") and err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "corpus", "no-such-corpus.json")

@@ -54,6 +54,12 @@ class TestLoading:
         with pytest.raises(CorpusFormatError, match="astronomy"):
             load_corpus(make_doc([bad]))
 
+    @pytest.mark.parametrize("category", [["area"], {"area": 1}])
+    def test_unhashable_category_rejected(self, category):
+        bad = dict(HAU, id="x", category=category)
+        with pytest.raises(CorpusFormatError, match="unknown category"):
+            load_corpus(make_doc([bad]))
+
     def test_missing_field_named(self):
         bad = {"id": "x", "category": "seked", "inputs": {"base": "360"}}
         with pytest.raises(CorpusFormatError, match="'height'"):
@@ -222,6 +228,12 @@ class TestReplay:
         doc = make_doc([
             {"id": "bad", "category": "area", "inputs": {"shape": "heptagon", "side": "1"}}
         ])
+        with pytest.raises(CorpusFormatError, match="shape"):
+            load_corpus(doc)
+
+    @pytest.mark.parametrize("shape", [["square"], {"square": 1}])
+    def test_unhashable_shape_rejected_at_load(self, shape):
+        doc = make_doc([{"id": "bad", "category": "area", "inputs": {"shape": shape, "side": "1"}}])
         with pytest.raises(CorpusFormatError, match="shape"):
             load_corpus(doc)
 

@@ -400,6 +400,11 @@ class TestRopeStretchers:
         with pytest.raises(ValueError):
             rational_right_triangles(11)
 
+    def test_triples_over_cap_rejected(self):
+        cap = geometry.TRIPLES_MAX_PERIMETER
+        with pytest.raises(ValueError, match=rf"^perimeter limit must be at most {cap}, got {cap + 1}$"):
+            rational_right_triangles(cap + 1)
+
     def test_triples_match_exhaustive_scan(self):
         assert rational_right_triangles(200) == scan_primitive_triples(200)
 
