@@ -1,10 +1,10 @@
 """The result records: immutable named tuples with pinned fields.
 
 A record is a tuple: it iterates, compares equal to a plain tuple of the
-same fields, and takes ``_replace`` where a dataclass took
-``dataclasses.replace``. The three that validate (``UnitFractionSum``,
-``HauProblem``, ``SideQuad``) check in their constructor, and
-``_replace`` goes through it too.
+same fields, and makes a changed copy with ``_replace``. The three that
+validate (``UnitFractionSum``, ``HauProblem``, ``SideQuad``) check in
+their constructor, and ``_replace`` goes through it too.
+``DecompositionPolicy`` is a dataclass, for ``dataclasses.replace``.
 """
 
 import dataclasses
