@@ -8,11 +8,10 @@ for linear problems the rescaled trial is exact, so the two always agree.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .rational import as_rational
+from .rational import as_rational, validating_namedtuple
 
 # Names attached to the rungs of the classic base-7 ladder, lowest power first.
 LADDER_LABELS = ("an", "Katze", "Maus", "Gerste", "Maass")
@@ -24,7 +23,7 @@ LADDER_MAX_DIGITS = 1000
 _LADDER_TOP_LIMIT = 10**LADDER_MAX_DIGITS
 
 
-class HauProblem(namedtuple("HauProblem", "multiplier target")):
+class HauProblem(validating_namedtuple("HauProblem", "multiplier target")):
     """multiplier * x = target, with multiplier the summed coefficient.
 
     ``from_terms`` builds the multiplier from the problem statement's list
@@ -39,10 +38,6 @@ class HauProblem(namedtuple("HauProblem", "multiplier target")):
         if multiplier == 0:
             raise ValueError("hau problem needs a nonzero multiplier")
         return super().__new__(cls, multiplier, target)
-
-    @classmethod
-    def _make(cls, iterable) -> HauProblem:
-        return cls(*iterable)  # so that _replace validates too
 
     @classmethod
     def from_terms(cls, terms: Iterable[Fraction | int], target: Fraction | int) -> "HauProblem":

@@ -11,12 +11,11 @@ lower bounds with a stated number of correct decimal digits.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from random import Random
 from typing import NamedTuple, Sequence
 
-from .rational import as_rational
+from .rational import as_rational, validating_namedtuple
 
 # 50 decimal digits of pi; lower bound by truncation.
 _PI_DIGITS = "314159265358979323846264338327950288419716939937510"
@@ -192,7 +191,7 @@ def granary_volume(floor_area: Fraction | int, length: Fraction | int) -> Fracti
 # -- the quadrilateral donation-text rule --------------------------------
 
 
-class SideQuad(namedtuple("SideQuad", "a b c d")):
+class SideQuad(validating_namedtuple("SideQuad", "a b c d")):
     """A quadrilateral by cyclic side lengths; opposite pairs (a,c), (b,d).
 
     One side may be zero, which is how the donation texts book triangles.
@@ -210,10 +209,6 @@ class SideQuad(namedtuple("SideQuad", "a b c d")):
         if sum(1 for s in sides if s == 0) > 1:
             raise ValueError("at most one side may be zero")
         return super().__new__(cls, *sides)
-
-    @classmethod
-    def _make(cls, iterable) -> SideQuad:
-        return cls(*iterable)  # so that _replace validates too
 
     def sides(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)

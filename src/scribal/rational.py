@@ -33,20 +33,36 @@ def as_rational(x: int | Fraction) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-class UnitFractionSum(namedtuple("UnitFractionSum", "integer_part two_thirds denominators")):
+def validating_namedtuple(typename: str, field_names: str) -> type:
+    """A ``namedtuple`` base for a subclass that validates in ``__new__``.
+
+    ``_replace`` builds its copy with ``_make``, which would skip the
+    subclass's checks; here ``_make`` calls the constructor instead.
+    """
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class UnitFractionSum:
     """A value in scribal notation: whole part + optional 2/3 + unit fractions.
 
     ``denominators`` must be strictly increasing integers >= 2; the 2/3 term
     is kept as a separate marker rather than in the list, mirroring the
     historical treatment of 2/3 as its own symbol. Values are never
     negative; there is no sign in the notation.
+
+    Immutable, and equal to another ``UnitFractionSum`` with the same
+    fields. It is a slotted class rather than a named tuple so that a
+    checker can build an invalid value field by field, with
+    ``object.__new__`` and ``object.__setattr__``, to test its own checks.
     """
 
-    __slots__ = ()
+    __slots__ = ("integer_part", "two_thirds", "denominators")
 
-    def __new__(
-        cls, integer_part: int = 0, two_thirds: bool = False, denominators: tuple[int, ...] = ()
-    ) -> UnitFractionSum:
+    def __init__(
+        self, integer_part: int = 0, two_thirds: bool = False, denominators: tuple[int, ...] = ()
+    ) -> None:
         denominators = tuple(denominators)
         if not isinstance(integer_part, int) or integer_part < 0:
             raise ValueError(f"integer part must be a non-negative integer, got {integer_part!r}")
@@ -57,11 +73,35 @@ class UnitFractionSum(namedtuple("UnitFractionSum", "integer_part two_thirds den
             if d <= prev:
                 raise ValueError(f"denominators must be strictly increasing, got {denominators}")
             prev = d
-        return super().__new__(cls, integer_part, two_thirds, denominators)
+        object.__setattr__(self, "integer_part", integer_part)
+        object.__setattr__(self, "two_thirds", two_thirds)
+        object.__setattr__(self, "denominators", denominators)
 
-    @classmethod
-    def _make(cls, iterable) -> UnitFractionSum:
-        return cls(*iterable)  # so that _replace validates too
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: UnitFractionSum is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: UnitFractionSum is immutable")
+
+    def _fields_tuple(self) -> tuple[int, bool, tuple[int, ...]]:
+        return (self.integer_part, self.two_thirds, self.denominators)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields_tuple() == other._fields_tuple()
+
+    def __hash__(self) -> int:
+        return hash(self._fields_tuple())
+
+    def __reduce__(self):
+        return (UnitFractionSum, self._fields_tuple())  # copy and pickle through the checks
+
+    def __repr__(self) -> str:
+        return (
+            f"UnitFractionSum(integer_part={self.integer_part!r}, "
+            f"two_thirds={self.two_thirds!r}, denominators={self.denominators!r})"
+        )
 
     def value(self) -> Fraction:
         """The exact Rational this notation denotes."""

@@ -412,4 +412,5 @@ class TestGoldenOutputs:
             compared += 1
             if (code, out, err) != (run["exit"], run["stdout"], run["stderr"]):
                 differing.append(run["argv"])
-        assert differing == [] and compared > 100
+        assert differing == [] and len(CLI_GOLDEN["runs"]) > 100
+        assert compared == len(CLI_GOLDEN["runs"]) or not same_python

@@ -1,14 +1,17 @@
-"""The result records: immutable named tuples with pinned fields.
+"""The result records: immutable, with pinned fields.
 
-A record is a tuple: it iterates, compares equal to a plain tuple of the
-same fields, and makes a changed copy with ``_replace``. The three that
-validate (``UnitFractionSum``, ``HauProblem``, ``SideQuad``) check in
-their constructor, and ``_replace`` goes through it too.
+A record is a named tuple: it iterates, compares equal to a plain tuple of
+the same fields, and makes a changed copy with ``_replace``. ``HauProblem``
+and ``SideQuad`` validate in their constructor, and ``_replace`` goes
+through it too. ``UnitFractionSum`` is a slotted class that validates in
+its constructor and can still be built field by field, bypassing it.
 ``DecompositionPolicy`` is a dataclass, for ``dataclasses.replace``.
 """
 
+import copy
 import dataclasses
 import inspect
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -29,7 +32,6 @@ def _records():
     ladder = equations.geometric_ladder(7, 2)
     hau = HauProblem(F(8, 7), 19)
     return [
-        UnitFractionSum(1, True, (4,)),
         arith.table_2_over_n(n_max=5)[0],
         duplation.rows[0],
         duplation,
@@ -48,7 +50,6 @@ def _records():
 RECORDS = _records()
 
 FIELDS = {
-    rational.UnitFractionSum: ("integer_part", "two_thirds", "denominators"),
     arith.TableEntry: ("n", "decomposition"),
     arith.DuplationRow: ("power", "value", "selected"),
     arith.DuplationResult: ("multiplier", "multiplicand", "product", "rows"),
@@ -113,8 +114,41 @@ def test_policy_takes_dataclasses_replace():
 
 
 class TestUnitFractionSum:
+    def test_fields_pinned(self):
+        assert UnitFractionSum.__slots__ == ("integer_part", "two_thirds", "denominators")
+
+    def test_attributes_cannot_be_assigned_or_deleted(self):
+        u = UnitFractionSum(1, True, (4,))
+        for name in UnitFractionSum.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(u, name, getattr(u, name))
+            with pytest.raises(AttributeError):
+                delattr(u, name)
+        with pytest.raises(AttributeError):
+            u.extra = 1
+
     def test_defaults(self):
-        assert UnitFractionSum() == (0, False, ())
+        u = UnitFractionSum()
+        assert (u.integer_part, u.two_thirds, u.denominators) == (0, False, ())
+
+    def test_equal_and_hashed_by_fields(self):
+        u = UnitFractionSum(1, True, [4])
+        assert u == UnitFractionSum(1, True, (4,)) and hash(u) == hash(UnitFractionSum(1, True, (4,)))
+        assert u != UnitFractionSum(1, False, (4,))
+        assert u != (1, True, (4,))
+        assert repr(u) == "UnitFractionSum(integer_part=1, two_thirds=True, denominators=(4,))"
+
+    def test_copies_and_pickles(self):
+        u = UnitFractionSum(16, False, (2, 8))
+        assert copy.copy(u) == u and copy.deepcopy(u) == u
+        assert pickle.loads(pickle.dumps(u)) == u
+
+    def test_can_be_built_field_by_field(self):
+        # how a checker builds an invalid value to test its own invariant checks
+        u = object.__new__(UnitFractionSum)
+        for name, value in zip(UnitFractionSum.__slots__, (0, False, (4, 4))):
+            object.__setattr__(u, name, value)
+        assert u.denominators == (4, 4) and u.value() == Fraction(1, 2)
 
     def test_list_of_denominators_stored_as_tuple(self):
         u = UnitFractionSum(0, False, [2, 6])
@@ -134,12 +168,6 @@ class TestUnitFractionSum:
             UnitFractionSum(0, False, [3, 1])
         with pytest.raises(ValueError, match=r"^denominators must be strictly increasing, got \(3, 2\)$"):
             UnitFractionSum(0, False, [3, 2])
-
-    def test_replace_validates(self):
-        u = UnitFractionSum(0, False, (2, 3))
-        assert u._replace(denominators=[2, 6]) == UnitFractionSum(0, False, (2, 6))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            u._replace(denominators=(3, 2))
 
 
 class TestHauProblem:
