@@ -507,6 +507,13 @@ def table_to_json(entries: list[TableEntry]) -> str:
     return render("json", "", _table_records(entries))
 
 
+# Every row and the product are printed, so each factor has at most this
+# many decimal digits: then no row and no product has more than twice as
+# many, inside the interpreter's 4300-digit limit on int-to-string conversion.
+DUPLATION_MAX_DIGITS = 1000
+_DUPLATION_LIMIT = 10**DUPLATION_MAX_DIGITS
+
+
 class DuplationRow(NamedTuple):
     power: int
     value: int
@@ -539,9 +546,18 @@ class DuplationResult(NamedTuple):
 
 
 def duplation_multiply(a: int, b: int) -> DuplationResult:
-    """Multiply a * b by repeated doubling of b, selecting rows that sum a."""
+    """Multiply a * b by repeated doubling of b, selecting rows that sum a.
+
+    A factor of more than ``DUPLATION_MAX_DIGITS`` digits is refused before
+    any row is built.
+    """
     if not (isinstance(a, int) and isinstance(b, int)) or a < 1 or b < 1:
         raise ValueError("duplation multiplies positive integers")
+    # 2**(4*d) > 10**d: the bit count alone rules out a huge factor, and
+    # below that count the exact comparison is cheap
+    for factor in (a, b):
+        if factor.bit_length() > 4 * DUPLATION_MAX_DIGITS or factor >= _DUPLATION_LIMIT:
+            raise ValueError(f"duplation takes factors of at most {DUPLATION_MAX_DIGITS} digits")
     rows: list[DuplationRow] = []
     power, doubled = 1, b
     while power <= a:

@@ -364,43 +364,60 @@ COMMANDS = (
     ), None, _cmd_corpus),
 )
 
-COMMAND_NAMES = tuple(name for name, *_ in COMMANDS)
+_ROWS = {row[0]: row for row in COMMANDS}
+COMMAND_NAMES = tuple(_ROWS)
+
+
+def _add_command_arguments(parser, name, arguments, policy, fn) -> None:
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+    if policy is not None:
+        _add_policy_flags(parser, policy)
+    parser.add_argument("--format", choices=FORMATS, default="text")
+    parser.set_defaults(fn=fn, command=name)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The whole parser, or with ``command`` a parser holding only that subcommand.
+    """The whole parser, or with ``command`` that command's own parser.
 
-    Both parse that command's arguments alike and print the same help and
-    errors for it; only the whole parser can report a missing or unknown
-    command, or print the top-level help.
+    The command's own parser takes the arguments after the command name
+    and prints the help and errors the whole parser prints for them; only
+    the whole parser reports a missing or unknown command, arguments left
+    over, or prints the top-level help.
     """
+    if command is not None:
+        name, _, *row = _ROWS[command]
+        parser = argparse.ArgumentParser(prog=f"scribal {name}")
+        _add_command_arguments(parser, name, *row)
+        return parser
     parser = argparse.ArgumentParser(
         prog="scribal",
         description="Exact scribal reckoning: unit fractions, papyrus problems, surveyor rules.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    if command is not None:
-        # errors the top-level parser raises print its usage, which names every command
-        sub.metavar = "{" + ",".join(COMMAND_NAMES) + "}"
-    for name, help_text, arguments, policy, fn in COMMANDS:
-        if command is not None and name != command:
-            continue
-        p = sub.add_parser(name, help=help_text)
-        for flags, kwargs in arguments:
-            p.add_argument(*flags, **kwargs)
-        if policy is not None:
-            _add_policy_flags(p, policy)
-        p.add_argument("--format", choices=FORMATS, default="text")
-        p.set_defaults(fn=fn)
+    for name, help_text, *row in COMMANDS:
+        _add_command_arguments(sub.add_parser(name, help=help_text), name, *row)
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as the whole parser does, building it only when needed.
+
+    A named command is parsed by its own parser. With no command, or with
+    arguments left over, the whole parser parses ``argv`` again: it prints
+    the top-level usage and errors.
+    """
+    if argv and argv[0] in _ROWS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a named command needs only its own subparser; anything else gets the whole parser
-    command = argv[0] if argv and argv[0] in COMMAND_NAMES else None
-    args = build_parser(command).parse_args(argv)
+    args = parse_args(argv)
     try:
         sys.stdout.write(args.fn(args))
     except (ValueError, ZeroDivisionError, OSError) as exc:

@@ -13,6 +13,7 @@ from scribal import arith
 from scribal.arith import (
     ADDITIVE,
     DEFAULT_POLICY,
+    DUPLATION_MAX_DIGITS,
     GREEDY,
     MULTIPLICATIVE,
     SHORTEST_SEARCH,
@@ -656,6 +657,17 @@ class TestDuplation:
             duplation_multiply(0, 5)
         with pytest.raises(ValueError):
             duplation_multiply(5, -1)
+
+    def test_factor_digits_capped_before_any_row(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("row built")
+
+        monkeypatch.setattr(arith, "DuplationRow", unused)
+        nines = 10**4299 - 1  # the largest factor the CLI's int() parses
+        # 10**1000 has one digit too many; 2**4001 is caught by its bit count
+        for a, b in ((nines, nines), (10**DUPLATION_MAX_DIGITS, 3), (3, 2**4001)):
+            with pytest.raises(ValueError, match=f"^duplation takes factors of at most {DUPLATION_MAX_DIGITS} digits$"):
+                duplation_multiply(a, b)
 
     @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=300)

@@ -95,6 +95,11 @@ class TestArithmeticCommands:
         assert "156" in out
         assert out.count("*") == 3  # rows 1, 4, 8 selected
 
+    def test_mul_over_digit_cap_rejected(self, capsys):
+        nines = "9" * 4299
+        code, out, err = run(capsys, "mul", nines, nines)
+        assert (code, out, err) == (1, "", "scribal: duplation takes factors of at most 1000 digits\n")
+
     def test_loaves(self, capsys):
         code, out, _ = run(capsys, "loaves", "6", "10")
         assert code == 0
@@ -320,18 +325,42 @@ def readme_commands() -> list[list[str]]:
     ]
 
 
-def parse_outcome(capsys, parser, argv):
+def parse_outcome(capsys, parse, argv):
     """(exit code or None, stdout, stderr, namespace or None) of one parse."""
     try:
-        namespace, code = parser.parse_args(argv), None
+        namespace, code = parse(argv), None
     except SystemExit as exc:
         namespace, code = None, exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err, namespace
 
 
+def parse_alike(capsys, argv):
+    """The outcome of cli.parse_args on argv, checked against the whole parser's."""
+    whole = parse_outcome(capsys, build_parser().parse_args, argv)
+    assert parse_outcome(capsys, cli.parse_args, argv) == whole, argv
+    return whole
+
+
+# Arguments that end a command's own parse early, are left over for the
+# whole parser, or sit where a command's parser and the whole one could split.
+EDGE_ARGVS = [
+    ["decompose", "--", "1/2"],
+    ["decompose", "-1/2"],
+    ["decompose", "1/2", "x"],
+    ["corpus", "a", "b"],
+    ["corpus", "--"],
+    ["mul", "3", "4", "-h"],
+    ["mul", "3", "4", "--he"],
+    ["mul", "--format=json", "3", "4"],
+    ["decompose", "7/10", "--form", "csv"],
+    ["decompose", "1/2", "--max-terms"],
+    ["mul", "3", "4", "5"],
+]
+
+
 class TestParserPaths:
-    """The one-command parser main builds behaves as the whole parser does."""
+    """parse_args, which builds one command's parser, parses as the whole parser does."""
 
     @pytest.fixture(autouse=True, params=["80", "40"])
     def columns(self, request, monkeypatch):
@@ -343,25 +372,25 @@ class TestParserPaths:
     @pytest.mark.parametrize("name", COMMAND_NAMES)
     def test_same_help_errors_and_namespace(self, capsys, name):
         for rest in (["--help"], ["--bogus"], BAD_VALUE[name], []):
-            argv = [name, *rest]
-            whole = parse_outcome(capsys, build_parser(), argv)
-            single = parse_outcome(capsys, build_parser(name), argv)
-            assert single == whole, argv
+            parse_alike(capsys, [name, *rest])
         # --format comes after the command's own and the policy flags
-        help_text = parse_outcome(capsys, build_parser(name), [name, "--help"])[1]
+        help_text = parse_outcome(capsys, build_parser(name).parse_args, ["--help"])[1]
         assert help_text.rstrip().splitlines()[-1].split()[0] == "--format"
 
     def test_readme_commands_parse_alike(self, capsys):
         commands = readme_commands()
         assert len(commands) >= 20
         for argv in commands:
-            whole = parse_outcome(capsys, build_parser(), argv)
-            single = parse_outcome(capsys, build_parser(argv[0]), argv)
-            assert whole[0] is None and single == whole, argv
+            code, _, _, namespace = parse_alike(capsys, argv)
+            assert code is None and namespace.command == argv[0], argv
+
+    @pytest.mark.parametrize("argv", EDGE_ARGVS, ids=" ".join)
+    def test_edge_arguments_parse_alike(self, capsys, argv):
+        parse_alike(capsys, argv)
 
     @pytest.mark.parametrize("argv", [[], ["--help"], ["nosuch"]])
     def test_no_command_uses_whole_parser(self, capsys, argv):
-        whole = parse_outcome(capsys, build_parser(), argv)
+        whole = parse_outcome(capsys, build_parser().parse_args, argv)
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
         captured = capsys.readouterr()
@@ -373,21 +402,30 @@ class TestParserPaths:
         }[tuple(argv)]
         assert message in captured.out + captured.err
 
-    def test_main_builds_the_named_command_only(self, capsys, monkeypatch):
+    def test_main_builds_the_whole_parser_only_as_fallback(self, capsys, monkeypatch):
         built = []
 
         def spy(command=None):
             built.append(command)
             return build_parser(command)
 
+        def parsers_built(argv=None):
+            built.clear()
+            try:
+                main(argv)
+            except SystemExit:
+                pass
+            capsys.readouterr()
+            return built
+
         monkeypatch.setattr(cli, "build_parser", spy)
-        assert main(["decompose", "7/10"]) == 0
+        assert parsers_built(["decompose", "7/10"]) == ["decompose"]
         monkeypatch.setattr(sys, "argv", ["scribal", "mul", "13", "12"])
-        assert main() == 0
-        with pytest.raises(SystemExit):
-            main(["--help"])
-        capsys.readouterr()
-        assert built == ["decompose", "mul", None]
+        assert parsers_built() == ["mul"]
+        assert parsers_built(["mul", "--help"]) == ["mul"]
+        assert parsers_built(["decompose", "1/2", "x"]) == ["decompose", None]
+        assert parsers_built(["--help"]) == [None]
+        assert parsers_built(["nosuch"]) == [None]
 
 
 # record with tests/record_cli_golden.py only from a commit whose outputs are trusted
