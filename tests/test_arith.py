@@ -663,7 +663,7 @@ class TestDuplation:
             raise AssertionError("row built")
 
         monkeypatch.setattr(arith, "DuplationRow", unused)
-        nines = 10**4299 - 1  # the largest factor the CLI's int() parses
+        nines = 10**4299 - 1  # 4299 nines: int() parses it, str() of its square fails
         # 10**1000 has one digit too many; 2**4001 is caught by its bit count
         for a, b in ((nines, nines), (10**DUPLATION_MAX_DIGITS, 3), (3, 2**4001)):
             with pytest.raises(ValueError, match=f"^duplation takes factors of at most {DUPLATION_MAX_DIGITS} digits$"):
