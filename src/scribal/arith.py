@@ -280,12 +280,13 @@ class _BestCandidate:
 def _two_term_into(
     a: int, b: int, b_factors: dict[int, int] | None, d_min: int, max_den: int,
     prefix: tuple[int, ...], best: _BestCandidate,
-) -> None:
+) -> str | None:
     # all x < y with 1/x + 1/y = a/b (lowest terms), x >= d_min and
     # best.y_floor <= y <= max_den; the smallest possible y is 2b/a, so bail
-    # early when that overshoots
+    # early when that overshoots. Returns the path that ran ("prime",
+    # "scan" or "pairs"), or None for an empty window.
     if 2 * b > a * max_den:
-        return
+        return None
     # x = b*y/(a*y - b) falls as y rises, so y <= max_den forces
     # x >= b*max_den/(a*max_den - b) and y >= y_floor forces
     # x <= b*y_floor/(a*y_floor - b), narrowing the window
@@ -295,7 +296,32 @@ def _two_term_into(
     if a * y_floor > b:
         hi = min(hi, b * y_floor // (a * y_floor - b))
     if lo > hi:
-        return
+        return None
+    if b_factors:
+        p = max(b_factors)
+        if p * p > max_den:
+            # b divides lcm(x, y), so p divides x or y, and no term up to
+            # max_den < p*p holds p*p. With b = p*c the terms that p
+            # divides are p*k with k < p, and their 1/k sum to a/c mod p:
+            # either x is a multiple of p, or y = p*k0 with k0*a = c mod p.
+            # In the second case x is no multiple of p, or 1/(x/p) would be
+            # 0 mod p, so the cases never meet; and x != y, so x <= hi <=
+            # 2b/a gives x < y.
+            if b_factors[p] > 1:
+                return "prime"
+            for x in range(-(-lo // p) * p, hi + 1, p):
+                e = a * x - b
+                if b * x % e == 0:
+                    y = b * x // e
+                    if x < y:
+                        best.offer(prefix + (x, y))
+            y = p * (b // p * pow(a, -1, p) % p)
+            e = a * y - b
+            if e > 0 and b * y % e == 0:
+                x = b * y // e
+                if lo <= x <= hi:
+                    best.offer(prefix + (x, y))
+            return "prime"
     if b_factors is None or hi - lo + 1 <= 4 * math.prod(e + 1 for e in b_factors.values()):
         # x = (e + b)/a and y = (b*b/e + b)/a, so step e = a*x - b through
         # the window and keep the divisors of b*b
@@ -307,7 +333,7 @@ def _two_term_into(
                     x, y = (e + b) // a, f // a
                     if x < y <= max_den:
                         best.offer(prefix + (x, y))
-        return
+        return "scan"
     # Every solution is x = j*b/n, y = j*b/m for coprime m < n with m*n | b
     # and m + n = j*a (Rav). So m*m < b, y <= max_den needs m >= b/max_den,
     # n > m needs j > 2m/a and n <= b/m needs j <= (b/m + m)/a. x falls as
@@ -321,6 +347,7 @@ def _two_term_into(
             n = j * a - m
             if q % n == 0 and math.gcd(m, n) == 1 and j * q >= y_floor:
                 best.offer(prefix + (j * b // n, j * q))
+    return "pairs"
 
 
 def _best_k_term(f: Fraction, k: int, policy: DecompositionPolicy, best: _BestCandidate) -> None:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -198,6 +199,13 @@ class TestShortestSearch:
         assert err.max_terms == 4 and err.max_denominator == 10000
         assert "max_terms=4" in str(err) and "max_denominator=10000" in str(err)
 
+    def test_readme_slow_values(self):
+        # the slow values the README names, about 1 s each: a 4-term form
+        # found, and bounds that hold none
+        assert decompose(F(5, 922)).render() == "1/210 + 1/2766 + 1/6454 + 1/6915"
+        with pytest.raises(BoundsExceededError):
+            decompose(F(5, 1993))
+
     def test_two_thirds_preferred_at_equal_length(self):
         u = decompose(F(9, 10))
         assert u.two_thirds
@@ -292,18 +300,38 @@ class Offers:
         self.forms.append(dens)
 
 
+# primes up to isqrt(200): a leaf built from terms of at least 200 that
+# are products of these has no prime p with p*p > max_den >= 200
+SMOOTH_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
 @st.composite
-def leaves(draw, xs=(2, 3000), max_y=20000, bs=(2, 10**6), planted_edges=False):
+def smooth_ints(draw, low, high):
+    """An integer in [low, high] with no prime factor above 13; high >= 2*low."""
+    n = 1
+    while n < low:
+        n *= draw(st.sampled_from([p for p in SMOOTH_PRIMES if n * p <= high]))
+    return n
+
+
+@st.composite
+def leaves(draw, xs=(2, 3000), max_y=20000, bs=(2, 10**6), planted_edges=False, smooth=False):
     """(a, b, d_min, max_den) for a two-term leaf.
 
     Mostly a/b = 1/x + 1/y for a drawn pair, with d_min and max_den on,
     next to or away from x and y, so solutions sit on the window's edges;
     sometimes a plain a/b in lowest terms, which often has no solution.
     With planted_edges, d_min and max_den always sit at the pair's edges.
+    With smooth, x, y and b have no prime factor above 13, so a leaf with
+    max_den >= 169 takes the scan or the divisor pairs.
     """
     if draw(st.integers(0, 3)):
-        x = draw(st.integers(*xs))
-        y = draw(st.integers(x + 1, max_y))
+        if smooth:
+            x = draw(smooth_ints(*xs))
+            y = draw(smooth_ints(draw(st.integers(x + 1, max_y // 2)), max_y))
+        else:
+            x = draw(st.integers(*xs))
+            y = draw(st.integers(x + 1, max_y))
         value = F(1, x) + F(1, y)
         max_dens = st.sampled_from([y, y - 1, y + 1, 2 * max_y])
         d_mins = st.sampled_from([x, x - 1, x + 1, 2])
@@ -312,7 +340,10 @@ def leaves(draw, xs=(2, 3000), max_y=20000, bs=(2, 10**6), planted_edges=False):
             d_mins |= st.integers(2, max_y)
         max_den, d_min = draw(max_dens), draw(d_mins)
     else:
-        b = draw(st.integers(*bs))
+        if smooth:
+            b = draw(smooth_ints(draw(st.integers(bs[0], bs[1] // 2)), bs[1]))
+        else:
+            b = draw(st.integers(*bs))
         value = F(draw(st.integers(1, b - 1)), b)
         max_den = draw(st.integers(2, 2 * max_y))
         d_min = draw(st.integers(2, max_y))
@@ -320,7 +351,8 @@ def leaves(draw, xs=(2, 3000), max_y=20000, bs=(2, 10**6), planted_edges=False):
 
 
 def leaf_forms(leaf, b_factors, *, reference=False, y_floor=0):
-    """Every form a leaf offers, and whether the divisor-pair path ran."""
+    """Every form a leaf offers, and the path that ran: "prime", "scan",
+    "pairs", or None when the window is empty."""
     a, b, d_min, max_den = leaf
     offers = Offers()
     if reference:
@@ -328,28 +360,29 @@ def leaf_forms(leaf, b_factors, *, reference=False, y_floor=0):
         return sorted(offers.forms), None
     offers.y_floor = y_floor
     with mock.patch.object(arith, "_divisors_between", wraps=arith._divisors_between) as spy:
-        _two_term_into(a, b, b_factors, d_min, max_den, (7,), offers)
-    return sorted(offers.forms), spy.called
+        path = _two_term_into(a, b, b_factors, d_min, max_den, (7,), offers)
+    assert spy.called == (path == "pairs"), path
+    return sorted(offers.forms), path
 
 
 class TestTwoTermLeafAgainstReference:
     # the divisor-pair leaf must offer exactly the forms the replaced
     # divisor-of-b-squared leaf offered, on both sides of its switch to
     # the linear scan and without a factorisation
-    @given(leaves(xs=(200, 3000), planted_edges=True))
+    @given(leaves(xs=(200, 3000), planted_edges=True, smooth=True))
     @settings(max_examples=300, deadline=None)
     def test_divisor_pair_side(self, leaf):
         factors = _factorize_small(leaf[1])
-        got, by_pairs = leaf_forms(leaf, factors)
-        assume(by_pairs)
+        got, path = leaf_forms(leaf, factors)
+        assume(path == "pairs")
         assert got == leaf_forms(leaf, factors, reference=True)[0]
 
-    @given(leaves())
+    @given(leaves(smooth=True))
     @settings(max_examples=300, deadline=None)
     def test_scan_side(self, leaf):
         factors = _factorize_small(leaf[1])
-        got, by_pairs = leaf_forms(leaf, factors)
-        assume(not by_pairs)
+        got, path = leaf_forms(leaf, factors)
+        assume(path in ("scan", None))
         assert got == leaf_forms(leaf, factors, reference=True)[0]
 
     @given(leaves(xs=(10**4, 3 * 10**4), max_y=4 * 10**4, bs=(10**8 + 1, 10**12)))
@@ -357,19 +390,20 @@ class TestTwoTermLeafAgainstReference:
     def test_unfactored_denominator(self, leaf):
         # past 10**8 the search carries no factorisation and always scans
         assume(leaf[1] > 10**8)
-        got, by_pairs = leaf_forms(leaf, None)
-        assert not by_pairs
+        got, path = leaf_forms(leaf, None)
+        assert path in ("scan", None)
         assert got == leaf_forms(leaf, _factorize_small(leaf[1]), reference=True)[0]
 
     def test_window_edges(self):
         # 1/x + 1/y with x and y coprime is the pair m = x, n = y, j = 1;
         # at max_den = y the lower end of the m window is x itself, and at
-        # d_min = x the bound on j from x >= d_min is j itself
-        for x, y in [(500, 9001), (1001, 5003), (2048, 6561)]:
+        # d_min = x the bound on j from x >= d_min is j itself. Prime
+        # powers keep the primes of b small and its divisors few.
+        for x, y in [(625, 4096), (1000, 6561), (1331, 4096), (2048, 6561)]:
             value = F(1, x) + F(1, y)
             leaf = (value.numerator, value.denominator, x, y)
-            got, by_pairs = leaf_forms(leaf, _factorize_small(leaf[1]))
-            assert by_pairs and (7, x, y) in got
+            got, path = leaf_forms(leaf, _factorize_small(leaf[1]))
+            assert path == "pairs" and (7, x, y) in got
 
     def test_divisor_count_records_match_a_sieve(self):
         limit = 20000
@@ -402,32 +436,35 @@ def draw_floor(data, forms, max_den):
     return data.draw(st.sampled_from(near) | anywhere if near else anywhere)
 
 
+def floored(data, leaf, factors):
+    """Check that under a drawn y_floor the leaf offers exactly the
+    reference leaf's forms that reach it; return the path that ran."""
+    forms = leaf_forms(leaf, _factorize_small(leaf[1]), reference=True)[0]
+    y_floor = draw_floor(data, forms, leaf[3])
+    got, path = leaf_forms(leaf, factors, y_floor=y_floor)
+    assert got == [form for form in forms if form[-1] >= y_floor], y_floor
+    return path
+
+
 class TestIncumbentFloor:
     # Given the incumbent's y_floor, a leaf offers exactly the reference
     # leaf's forms whose largest denominator reaches it, on both sides of
     # the switch to the linear scan and without a factorisation.
-    def floored(self, data, leaf, factors):
-        forms = leaf_forms(leaf, _factorize_small(leaf[1]), reference=True)[0]
-        y_floor = draw_floor(data, forms, leaf[3])
-        got, by_pairs = leaf_forms(leaf, factors, y_floor=y_floor)
-        assert got == [form for form in forms if form[-1] >= y_floor], y_floor
-        return by_pairs
-
-    @given(leaves(xs=(200, 3000), planted_edges=True), st.data())
+    @given(leaves(xs=(200, 3000), planted_edges=True, smooth=True), st.data())
     @settings(max_examples=300, deadline=None)
     def test_divisor_pair_side(self, leaf, data):
-        assume(self.floored(data, leaf, _factorize_small(leaf[1])))
+        assume(floored(data, leaf, _factorize_small(leaf[1])) == "pairs")
 
-    @given(leaves(), st.data())
+    @given(leaves(smooth=True), st.data())
     @settings(max_examples=300, deadline=None)
     def test_scan_side(self, leaf, data):
-        assume(not self.floored(data, leaf, _factorize_small(leaf[1])))
+        assume(floored(data, leaf, _factorize_small(leaf[1])) in ("scan", None))
 
     @given(leaves(xs=(10**4, 3 * 10**4), max_y=4 * 10**4, bs=(10**8 + 1, 10**12)), st.data())
     @settings(max_examples=60, deadline=None)
     def test_unfactored_denominator(self, leaf, data):
         assume(leaf[1] > 10**8)
-        assert not self.floored(data, leaf, None)
+        assert floored(data, leaf, None) in ("scan", None)
 
     def test_y_floor_matches_a_sieve(self):
         # for every divisor count T up to n = 20000, the floor is the
@@ -470,6 +507,90 @@ class TestIncumbentFloor:
         best = _BestCandidate(DecompositionPolicy(prefer_divisor_rich=False))
         best.offer((2, 60))
         assert best.y_floor == 0
+
+
+# the primes from 23 to 400; every planted leaf has max_den >= 2p
+LARGE_PRIMES = tuple(p for p in range(23, 400) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+
+
+@st.composite
+def large_prime_leaves(draw, square=False):
+    """(leaf, p) for a leaf whose denominator may hold a prime p with p*p > max_den.
+
+    a/b = 1/x + 1/y with p dividing y only, x only, or both, and d_min and
+    max_den on, next to or away from x and y; max_den reaches p*p + 1 at
+    most. With square, b = p*p*m for m < 23, so p is b's largest prime,
+    and max_den < p*p, so a/b has no form.
+    """
+    p = draw(st.sampled_from(LARGE_PRIMES))
+    top = min(p * p, 40000)
+    if square:
+        b = p * p * draw(st.integers(1, 22))
+        max_den = draw(st.integers(2 * p, min(p * p - 1, top)))
+        # 2b/a <= max_den <= 4b/a, roughly, so the window is rarely empty
+        a = draw(st.integers(-(-2 * b // max_den), 4 * b // max_den + 4))
+        while math.gcd(a, b) > 1:
+            a += 1
+        d_min = draw(st.sampled_from([2]) | st.integers(2, max_den))
+        return (a, b, d_min, max_den), p
+    planted = draw(st.integers(2 * p, top))
+    side = draw(st.sampled_from(["y", "x", "both"]))
+    if side == "y":
+        y = p * draw(st.integers(1, planted // p))
+        x = draw(st.integers(2, y - 1))
+        x -= x % p == 0
+    elif side == "x":
+        x = p * draw(st.integers(1, planted // p - 1))
+        y = draw(st.integers(x + 1, planted))
+        y -= y % p == 0  # then y >= x + p
+    else:
+        k = draw(st.integers(2, planted // p))
+        x, y = p * draw(st.integers(1, k - 1)), p * k
+    value = F(1, x) + F(1, y)
+    max_den = draw(st.sampled_from([y, y - 1, y + 1, top]) | st.integers(2, top))
+    d_min = draw(st.sampled_from([x, x - 1, x + 1, 2]) | st.integers(2, y))
+    return (value.numerator, value.denominator, max(d_min, 2), max(max_den, 2)), p
+
+
+class TestLargePrimeLeaf:
+    # A leaf whose denominator has a prime p with p*p > max_den is solved
+    # from p alone, and offers exactly the reference leaf's forms that
+    # reach the incumbent's y_floor.
+    @given(large_prime_leaves(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_planted_forms(self, drawn, data):
+        leaf, p = drawn
+        path = floored(data, leaf, _factorize_small(leaf[1]))
+        # p drops out of b only when both terms are multiples of p
+        if leaf[1] % p == 0 and p * p > leaf[3]:
+            assert path in ("prime", None)
+
+    @given(large_prime_leaves(square=True))
+    @settings(max_examples=100, deadline=None)
+    def test_square_of_the_prime_offers_nothing(self, drawn):
+        leaf, p = drawn
+        factors = _factorize_small(leaf[1])
+        got, path = leaf_forms(leaf, factors)
+        assume(path == "prime")
+        assert got == [] == leaf_forms(leaf, factors, reference=True)[0]
+
+    def test_each_side_of_the_prime(self):
+        # 1/x + 1/y for p = 101 and max_den = 5000 < p*p: only y, only x,
+        # and both terms multiples of p
+        for x, y in [(60, 4848), (202, 303), (404, 4998), (1010, 4040)]:
+            value = F(1, x) + F(1, y)
+            leaf = (value.numerator, value.denominator, 2, 5000)
+            got, path = leaf_forms(leaf, _factorize_small(leaf[1]))
+            assert path == "prime" and (7, x, y) in got, (x, y)
+            assert got == leaf_forms(leaf, _factorize_small(leaf[1]), reference=True)[0]
+
+    def test_square_of_the_prime_at_max_den(self):
+        # at max_den = p*p the term p*p is allowed, so the branch stays out
+        value = F(1, 10) + F(1, 101 * 101)
+        leaf = (value.numerator, value.denominator, 2, 101 * 101)
+        got, path = leaf_forms(leaf, _factorize_small(leaf[1]))
+        assert path != "prime" and (7, 10, 10201) in got
+        assert got == leaf_forms(leaf, _factorize_small(leaf[1]), reference=True)[0]
 
 
 def reference_greedy(f):
