@@ -509,7 +509,7 @@ class TestIncumbentFloor:
         assert best.y_floor == 0
 
 
-# the primes from 23 to 400; every planted leaf has max_den >= 2p
+# the primes from 23 to 400: a planted leaf's terms stay below 40000
 LARGE_PRIMES = tuple(p for p in range(23, 400) if all(p % q for q in range(2, math.isqrt(p) + 1)))
 
 
@@ -538,11 +538,13 @@ def large_prime_leaves(draw, square=False):
     if side == "y":
         y = p * draw(st.integers(1, planted // p))
         x = draw(st.integers(2, y - 1))
-        x -= x % p == 0
+        if x % p == 0:
+            x -= 1
     elif side == "x":
         x = p * draw(st.integers(1, planted // p - 1))
         y = draw(st.integers(x + 1, planted))
-        y -= y % p == 0  # then y >= x + p
+        if y % p == 0:  # then y >= x + p
+            y -= 1
     else:
         k = draw(st.integers(2, planted // p))
         x, y = p * draw(st.integers(1, k - 1)), p * k
