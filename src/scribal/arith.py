@@ -350,25 +350,68 @@ def _two_term_into(
     return "pairs"
 
 
-def _best_k_term(f: Fraction, k: int, policy: DecompositionPolicy, best: _BestCandidate) -> None:
-    # feed every k-term distinct unit-fraction decomposition of f (all
-    # denominators <= max_denominator) into the running best
-    max_den = policy.max_denominator
-    a0, b0 = f.numerator, f.denominator
-    if k == 1:
-        if a0 == 1 and 2 <= b0 <= max_den:
-            best.offer((b0,))
-        return
-    root_factors = _factorize_small(b0) if b0 <= 10**8 else None
-    if k == 2:
-        _two_term_into(a0, b0, root_factors, 2, max_den, (), best)
-        return
-    # two distinct terms <= max_den sum to a fraction whose reduced
-    # denominator divides x*y <= max_den*(max_den - 1)
-    leaf_den_cap = max_den * (max_den - 1)
+def _child_factors(factors: dict[int, int], d: int, g: int) -> dict[int, int]:
+    # the factors of b*d/g from those of b, where every prime of g divides d
+    child = dict(factors)
+    for p, e in _factorize_small(d).items():
+        e += child.get(p, 0)
+        while g % p == 0:
+            g //= p
+            e -= 1
+        if e:
+            child[p] = e
+        else:
+            del child[p]
+    return child
 
-    def recurse(a: int, b: int, factors: dict[int, int] | None, path: tuple[int, ...], t: int, d_min: int) -> None:
-        # a/b in lowest terms, factors its denominator's (None past 10**8)
+
+class _Merged:
+    """Stands in for the best in a two-term leaf: merges the term p*k into
+    each pair the leaf offers. A pair that holds a multiple of p is
+    dropped: its form belongs to a larger set of such terms, where the
+    split counts it, and it could repeat the term."""
+
+    __slots__ = ("best", "p", "term", "path", "y_floor")
+
+    def __init__(self, best: _BestCandidate, p: int, term: int, path: tuple[int, ...]):
+        self.best = best
+        self.p = p
+        self.term = term
+        self.path = path
+        # the merged form's largest is the leaf's y or the term, so the
+        # leaf may use the incumbent's floor only while the term is below it
+        self.y_floor = best.y_floor if term < best.y_floor else 0
+
+    def offer(self, pair: tuple[int, ...]) -> None:
+        x, y = pair
+        p, term = self.p, self.term
+        if x % p and y % p:
+            if term < x:
+                dens = (term, x, y)
+            elif term < y:
+                dens = (x, term, y)
+            else:
+                dens = (x, y, term)
+            self.best.offer(self.path + dens)
+
+
+class _Search:
+    """One exhaustive search at a fixed term count: every form of the
+    value with denominators up to max_den goes to the running best.
+
+    Methods, not nested closures, so that a search leaves no reference
+    cycle behind for the collector."""
+
+    __slots__ = ("max_den", "best")
+
+    def __init__(self, max_den: int, best: _BestCandidate):
+        self.max_den = max_den
+        self.best = best
+
+    def node(self, a: int, b: int, factors: dict[int, int] | None, path: tuple[int, ...], t: int, d_min: int) -> None:
+        # every t-term form of a/b (lowest terms, t >= 3; factors its
+        # denominator's, None past 10**8) with terms of at least d_min
+        max_den, best = self.max_den, self.best
         lo = max(d_min, -(-b // a))
         hi = min(max_den, t * b // a)
         # lift lo past the provably dead region: the child's remainder
@@ -378,6 +421,13 @@ def _best_k_term(f: Fraction, k: int, policy: DecompositionPolicy, best: _BestCa
         if slack <= 0:
             return
         lo = max(lo, -(-b * max_den // slack))
+        if t == 3 and factors:
+            p = max(factors)
+            if p * p > max_den:
+                # every term is at least lo, the smallest term's bound
+                if lo <= hi:
+                    self.split(a, b, factors, p, path, lo)
+                return
         for d in range(lo, hi + 1):
             na, nb = a * d - b, b * d
             if na <= 0:
@@ -399,27 +449,78 @@ def _best_k_term(f: Fraction, k: int, policy: DecompositionPolicy, best: _BestCa
             if g > 1:
                 na //= g
                 nb //= g
-            if t == 3 and nb > leaf_den_cap:
-                continue
-            child = None
-            if factors is not None:
-                # nb = b*d/g, and every prime of g divides d
-                child = dict(factors)
-                for p, e in _factorize_small(d).items():
-                    e += child.get(p, 0)
-                    while g % p == 0:
-                        g //= p
-                        e -= 1
-                    if e:
-                        child[p] = e
-                    else:
-                        del child[p]
+            child = None if factors is None else _child_factors(factors, d, g)
             if t == 3:
                 _two_term_into(na, nb, child, d + 1, max_den, path + (d,), best)
             else:
-                recurse(na, nb, child, path + (d,), t - 1, d + 1)
+                self.node(na, nb, child, path + (d,), t - 1, d + 1)
 
-    recurse(a0, b0, root_factors, (), k, 2)
+    def split(self, a: int, b: int, factors: dict[int, int], p: int, path: tuple[int, ...], d_min: int) -> None:
+        # The three-term forms of a/b when b's prime p has p*p > max_den.
+        # b divides the lcm of the terms and no term up to max_den holds
+        # p*p, so p*p | b leaves none. Otherwise, with b = p*c, the terms
+        # that p divides are p*k with k <= K = max_den // p < p, and their
+        # 1/k sum to a/c mod p. Each form has one such set S of k, so the
+        # forms fall into disjoint groups by |S|.
+        if factors[p] > 1:
+            return
+        max_den, best = self.max_den, self.best
+        c = b // p
+        K = max_den // p
+        k_lo = -(-d_min // p)
+        k0 = c * pow(a, -1, p) % p  # 1/k0 = a/c mod p
+        # |S| = 1: S = {k0}, and the rest is a two-term leaf free of p
+        x = p * k0
+        if k0 <= K and x >= d_min:
+            na, nb = a * x - b, b * x
+            if na > 0:
+                g = math.gcd(na, nb)
+                _two_term_into(na // g, nb // g, _child_factors(factors, x, g), d_min, max_den, (),
+                               _Merged(best, p, x, path))
+        # |S| = 2: k1 < k2 with 1/k2 = a/c - 1/k1 mod p, and the third term
+        # 1/m is the rest. 1/(p*k1) < a/b, and 2/(p*k1) exceeds
+        # 1/(p*k1) + 1/(p*k2) = a/b - 1/m >= a/b - 1/d_min.
+        hi = K - 1
+        if a * d_min > b:
+            hi = min(hi, 2 * b * d_min // (p * (a * d_min - b)))
+        for k1 in range(max(k_lo, c // a + 1), hi + 1):
+            e = a * k1 - c  # a/b - 1/(p*k1) = e/(b*k1)
+            if e % p == 0:
+                continue
+            k2 = k1 * c * pow(e, -1, p) % p
+            if k1 < k2 <= K:
+                n = e * k2 - c * k1  # the rest is n/(b*k1*k2)
+                if n > 0:
+                    m, r = divmod(b * k1 * k2, n)
+                    if not r and d_min <= m <= max_den:
+                        x, y = p * k1, p * k2
+                        dens = (m, x, y) if m < x else (x, m, y) if m < y else (x, y, m)
+                        if dens[-1] >= best.y_floor:
+                            best.offer(path + dens)
+        # |S| = 3: 1/k1 + 1/k2 + 1/k3 = a/c exactly
+        for k1 in range(max(k_lo, c // a + 1), min(K, 3 * c // a) + 1):
+            e, f = a * k1 - c, c * k1
+            for k2 in range(max(k1 + 1, f // e + 1), min(K, 2 * f // e) + 1):
+                n = e * k2 - f
+                k3, r = divmod(f * k2, n)
+                if not r and k2 < k3 <= K and p * k3 >= best.y_floor:
+                    best.offer(path + (p * k1, p * k2, p * k3))
+
+
+def _best_k_term(f: Fraction, k: int, policy: DecompositionPolicy, best: _BestCandidate) -> None:
+    # feed every k-term distinct unit-fraction decomposition of f (all
+    # denominators <= max_denominator) into the running best
+    max_den = policy.max_denominator
+    a0, b0 = f.numerator, f.denominator
+    if k == 1:
+        if a0 == 1 and 2 <= b0 <= max_den:
+            best.offer((b0,))
+        return
+    root_factors = _factorize_small(b0) if b0 <= 10**8 else None
+    if k == 2:
+        _two_term_into(a0, b0, root_factors, 2, max_den, (), best)
+        return
+    _Search(max_den, best).node(a0, b0, root_factors, (), k, 2)
 
 
 def _shortest(f: Fraction, policy: DecompositionPolicy) -> tuple[bool, list[int]]:

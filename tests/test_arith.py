@@ -31,6 +31,7 @@ from scribal.arith import (
     table_to_csv,
     table_to_json,
     _BestCandidate,
+    _Search,
     _divisor_count_records,
     _factorize_small,
     _greedy_unit_denominators,
@@ -48,26 +49,26 @@ def brute_force_decompositions(value, k, max_den):
     """Oracle: every k-term distinct unit-fraction sum equal to value.
 
     Straightforward recursive enumeration kept independent of the library's
-    search machinery; only usable at small scale.
+    search machinery; only usable at small scale. The remainder is the
+    pair (n, m) for n/m, not reduced.
     """
     results = []
 
-    def go(remaining, d_min, chosen):
+    def go(n, m, d_min, chosen):
         terms_left = k - len(chosen)
         if terms_left == 0:
-            if remaining == 0:
+            if n == 0:
                 results.append(tuple(chosen))
             return
         d = d_min
         while d <= max_den:
-            piece = F(1, d)
-            if piece * terms_left < remaining:
+            if terms_left * m < n * d:
                 break  # even terms_left copies of the largest candidate fall short
-            if piece <= remaining:
-                go(remaining - piece, d + 1, chosen + [d])
+            if m <= n * d:
+                go(n * d - m, m * d, d + 1, chosen + [d])
             d += 1
 
-    go(value, 2, [])
+    go(value.numerator, value.denominator, 2, [])
     return results
 
 
@@ -200,7 +201,8 @@ class TestShortestSearch:
         assert "max_terms=4" in str(err) and "max_denominator=10000" in str(err)
 
     def test_readme_slow_values(self):
-        # the slow values the README names, about 1 s each: a 4-term form
+        # the values the README names, about 1 s each before the search
+        # split off their large prime and milliseconds now: a 4-term form
         # found, and bounds that hold none
         assert decompose(F(5, 922)).render() == "1/210 + 1/2766 + 1/6454 + 1/6915"
         with pytest.raises(BoundsExceededError):
@@ -593,6 +595,154 @@ class TestLargePrimeLeaf:
         got, path = leaf_forms(leaf, _factorize_small(leaf[1]))
         assert path != "prime" and (7, 10, 10201) in got
         assert got == leaf_forms(leaf, _factorize_small(leaf[1]), reference=True)[0]
+
+
+def reference_three_term(a, b, factors, d_min, max_den, path, best):
+    """The three-term level of the search before the large-prime split,
+    kept verbatim as the reference, over the reference leaf."""
+    leaf_den_cap = max_den * (max_den - 1)
+    lo = max(d_min, -(-b // a))
+    hi = min(max_den, 3 * b // a)
+    slack = a * max_den - 2 * b
+    if slack <= 0:
+        return
+    lo = max(lo, -(-b * max_den // slack))
+    for d in range(lo, hi + 1):
+        na, nb = a * d - b, b * d
+        if na <= 0:
+            continue
+        s_num, s_den = 1, d + 1
+        if nb * s_den < best.y_floor * (na * s_den - nb * s_num):
+            break
+        g = math.gcd(na, nb)
+        if g > 1:
+            na //= g
+            nb //= g
+        if nb > leaf_den_cap:
+            continue
+        child = None
+        if factors is not None:
+            child = dict(factors)
+            for p, e in _factorize_small(d).items():
+                e += child.get(p, 0)
+                while g % p == 0:
+                    g //= p
+                    e -= 1
+                if e:
+                    child[p] = e
+                else:
+                    del child[p]
+        reference_two_term_into(na, nb, child, d + 1, max_den, path + (d,), best)
+
+
+# the primes from 23 to 113: the reference level's window, and so its
+# cost, grows with max_den < p*p
+SPLIT_PRIMES = tuple(p for p in LARGE_PRIMES if p <= 113)
+
+
+@st.composite
+def three_term_nodes(draw):
+    """(a, b, d_min, max_den) for a three-term level whose denominator
+    mostly holds a prime p with p*p > max_den.
+
+    Mostly a/b = 1/x + 1/y + 1/z with one, two or three of the terms
+    multiples p*k of p, k <= K = max_den // p. max_den runs from p (K = 1)
+    to p*p - 1, often with p*p <= 2*max_den, where two of the k can sum to
+    p; the planted sets hold such a pair, two consecutive k, or K itself,
+    and the other terms lie below or above the multiples of p. d_min sits
+    on, next to or away from the smallest term and each multiple of p.
+    Sometimes a plain a/b with b = p*m or p*p*m for m < 23, so p is b's
+    largest prime; the second has no form.
+    """
+    p = draw(st.sampled_from(SPLIT_PRIMES))
+    max_den = draw(st.sampled_from([p, 2 * p - 1, (p * p + 1) // 2, p * p - 1]) | st.integers(p, p * p - 1))
+    K = max_den // p
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        b = p * draw(st.integers(1, 22)) * (p if draw(st.booleans()) else 1)
+        # 2b/a <= max_den <= 6b/a, roughly, so the window is rarely empty
+        a = draw(st.integers(-(-2 * b // max_den), 6 * b // max_den + 6))
+        while math.gcd(a, b) > 1:
+            a += 1
+        value = F(a, b)
+        assume(value < 1)
+        edges = [2]
+    else:
+        size = draw(st.integers(1, min(3, K)))
+        if size == 3 and 2 * K > p and K >= 3 and draw(st.booleans()):
+            ka = draw(st.integers(p - K, K))
+            k0 = draw(st.integers(1, K))
+            ks = [k0, ka, p - ka]
+        elif size == 2 and draw(st.booleans()):
+            k1 = draw(st.sampled_from([K - 1]) | st.integers(1, K - 1))
+            ks = [k1, k1 + 1]
+        else:
+            ks = draw(st.lists(st.integers(1, K), min_size=size, max_size=size, unique=True))
+        multiples = [p * k for k in ks]
+        top = min(multiples) - 1 if draw(st.booleans()) else max_den
+        others = []
+        for _ in range(3 - size):
+            x = draw(st.integers(2, top))
+            others.append(x - 1 if x % p == 0 else x)
+        terms = sorted(multiples + others)
+        assume(len(set(terms)) == 3)
+        value = sum(F(1, t) for t in terms)
+        edges = [terms[0] + e for e in (-1, 0, 1)] + [x + e for x in multiples for e in (-1, 0, 1)]
+    d_min = draw(st.sampled_from(edges) | st.integers(2, max_den))
+    return value.numerator, value.denominator, max(d_min, 2), max_den
+
+
+def three_term_forms(node, *, reference=False, y_floor=0):
+    """Every form a three-term level offers under a fixed y_floor."""
+    a, b, d_min, max_den = node
+    offers = Offers()
+    offers.y_floor = y_floor
+    factors = _factorize_small(b)
+    if reference:
+        reference_three_term(a, b, factors, d_min, max_den, (7,), offers)
+    else:
+        _Search(max_den, offers).node(a, b, factors, (7,), 3, d_min)
+    return sorted(offers.forms)
+
+
+def takes_the_split(node):
+    p = max(_factorize_small(node[1]))
+    return p * p > node[3]
+
+
+class TestThreeTermSplit:
+    # A three-term level whose denominator has a prime p with p*p >
+    # max_den is solved by the set of its terms that p divides, and offers
+    # exactly the reference level's forms that reach the incumbent's
+    # y_floor, each once.
+    @given(three_term_nodes(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_planted_forms(self, node, data):
+        assume(takes_the_split(node))
+        forms = three_term_forms(node, reference=True)
+        y_floor = draw_floor(data, forms, node[3])
+        got = three_term_forms(node, y_floor=y_floor)
+        assert got == [form for form in forms if form[-1] >= y_floor], y_floor
+
+    def test_each_size_of_the_set(self):
+        # p = 101 and max_den = 10000: one, two and three multiples of p,
+        # and three whose pair 40 + 61 = 101 makes the rest of the set
+        # {20} offer the form again, as 1/4040 + 1/6161 = 1/2440
+        for terms in [(30, 707, 4000), (60, 202, 303), (505, 909, 1010), (2020, 4040, 6161)]:
+            value = sum(F(1, t) for t in terms)
+            node = (value.numerator, value.denominator, 2, 10000)
+            assert takes_the_split(node), terms
+            got = three_term_forms(node)
+            assert (7,) + tuple(sorted(terms)) in got and len(set(got)) == len(got)
+            assert got == three_term_forms(node, reference=True), terms
+
+    def test_square_of_the_prime_offers_nothing(self):
+        # 7/(2*101*101) passes the slack check, and no leaf runs
+        node = (7, 2 * 101 * 101, 2, 10000)
+        with mock.patch.object(arith, "_two_term_into") as leaf:
+            assert three_term_forms(node) == []
+        leaf.assert_not_called()
+        assert three_term_forms(node, reference=True) == []
 
 
 def reference_greedy(f):
