@@ -647,17 +647,23 @@ def three_term_nodes(draw):
 
     Mostly a/b = 1/x + 1/y + 1/z with one, two or three of the terms
     multiples p*k of p, k <= K = max_den // p. max_den runs from p (K = 1)
-    to p*p - 1, often with p*p <= 2*max_den, where two of the k can sum to
-    p; the planted sets hold such a pair, two consecutive k, or K itself,
-    and the other terms lie below or above the multiples of p. d_min sits
-    on, next to or away from the smallest term and each multiple of p.
+    to p*p - 1. One draw in six takes p*p <= 2*max_den, so that two of the
+    k can sum to p, and plants three k with such a pair; one in six plants
+    two consecutive k (often K - 1 and K) and a smaller third term; the
+    rest plant any k, and put the other terms below or above the multiples
+    of p. d_min sits on, next to or away from the smallest term and each
+    multiple of p.
     Sometimes a plain a/b with b = p*m or p*p*m for m < 23, so p is b's
     largest prime; the second has no form.
     """
     p = draw(st.sampled_from(SPLIT_PRIMES))
-    max_den = draw(st.sampled_from([p, 2 * p - 1, (p * p + 1) // 2, p * p - 1]) | st.integers(p, p * p - 1))
-    K = max_den // p
     kind = draw(st.integers(0, 5))
+    if kind == 1:
+        # two of the k sum to p, so 2*K > p and p*p <= 2*max_den
+        max_den = draw(st.integers((p * p + 1) // 2 + p, p * p - 1))
+    else:
+        max_den = draw(st.sampled_from([p, 2 * p - 1, p * p - 1]) | st.integers(p, p * p - 1))
+    K = max_den // p
     if kind == 0:
         b = p * draw(st.integers(1, 22)) * (p if draw(st.booleans()) else 1)
         # 2b/a <= max_den <= 6b/a, roughly, so the window is rarely empty
@@ -668,26 +674,31 @@ def three_term_nodes(draw):
         assume(value < 1)
         edges = [2]
     else:
-        size = draw(st.integers(1, min(3, K)))
-        if size == 3 and 2 * K > p and K >= 3 and draw(st.booleans()):
+        consecutive = kind == 2 and K >= 2
+        if kind == 1:
             ka = draw(st.integers(p - K, K))
-            k0 = draw(st.integers(1, K))
-            ks = [k0, ka, p - ka]
-        elif size == 2 and draw(st.booleans()):
+            ks = [draw(st.integers(1, K)), ka, p - ka]
+        elif consecutive:
             k1 = draw(st.sampled_from([K - 1]) | st.integers(1, K - 1))
             ks = [k1, k1 + 1]
         else:
+            size = draw(st.integers(1, min(3, K)))
             ks = draw(st.lists(st.integers(1, K), min_size=size, max_size=size, unique=True))
         multiples = [p * k for k in ks]
-        top = min(multiples) - 1 if draw(st.booleans()) else max_den
+        top = min(multiples) - 1 if consecutive or draw(st.booleans()) else max_den
         others = []
-        for _ in range(3 - size):
+        for _ in range(3 - len(ks)):
             x = draw(st.integers(2, top))
             others.append(x - 1 if x % p == 0 else x)
         terms = sorted(multiples + others)
         assume(len(set(terms)) == 3)
         value = sum(F(1, t) for t in terms)
-        edges = [terms[0] + e for e in (-1, 0, 1)] + [x + e for x in multiples for e in (-1, 0, 1)]
+        if consecutive:
+            # d_min on the third term, the smallest, puts the top of the
+            # k1 window of the split's two-multiple sets on k1
+            edges = [terms[0], terms[0] - 1]
+        else:
+            edges = [terms[0] + e for e in (-1, 0, 1)] + [x + e for x in multiples for e in (-1, 0, 1)]
     d_min = draw(st.sampled_from(edges) | st.integers(2, max_den))
     return value.numerator, value.denominator, max(d_min, 2), max_den
 
