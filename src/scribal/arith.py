@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .formats import render
-from .rational import TWO_THIRDS, UnitFractionSum, as_rational
+from .rational import UnitFractionSum, as_rational
 
 GREEDY = "greedy"
 SPLITTING = "splitting"
@@ -86,10 +86,9 @@ DEFAULT_POLICY = DecompositionPolicy()
 TABLE_POLICY = replace(DEFAULT_POLICY, allow_two_thirds=False)
 
 
-def _greedy_unit_denominators(f: Fraction) -> list[int]:
+def _greedy_unit_denominators(a: int, b: int) -> list[int]:
     # Sylvester-Fibonacci loop on the remainder a/b in lowest terms; its
     # numerator strictly decreases.
-    a, b = f.numerator, f.denominator
     dens: list[int] = []
     while a > 0:
         d = -(-b // a)  # ceil
@@ -101,12 +100,19 @@ def _greedy_unit_denominators(f: Fraction) -> list[int]:
     return dens
 
 
-def _greedy(f: Fraction, allow_two_thirds: bool) -> tuple[bool, list[int]]:
-    # 0 < f < 1. The 2/3 primitive is itself the largest available term
-    # whenever it fits and is allowed.
-    if allow_two_thirds and f >= TWO_THIRDS:
-        return True, _greedy_unit_denominators(f - TWO_THIRDS)
-    return False, _greedy_unit_denominators(f)
+def _minus_two_thirds(a: int, b: int) -> tuple[int, int]:
+    # a/b - 2/3 in lowest terms, for a/b >= 2/3 (3a >= 2b)
+    a, b = 3 * a - 2 * b, 3 * b
+    g = math.gcd(a, b)
+    return a // g, b // g
+
+
+def _greedy(a: int, b: int, allow_two_thirds: bool) -> tuple[bool, list[int]]:
+    # 0 < a/b < 1 in lowest terms. The 2/3 primitive is itself the largest
+    # available term whenever it fits and is allowed.
+    if allow_two_thirds and 3 * a >= 2 * b:
+        return True, _greedy_unit_denominators(*_minus_two_thirds(a, b))
+    return False, _greedy_unit_denominators(a, b)
 
 
 # Splitting steps resolve_duplicates takes before it gives up; no sane
@@ -139,15 +145,16 @@ def resolve_duplicates(denominators: list[int], incoming: list[int]) -> list[int
     return sorted(have)
 
 
-def _splitting(f: Fraction, allow_two_thirds: bool) -> tuple[bool, list[int]]:
-    # 0 < f < 1. A value already written as a single term stays put;
-    # otherwise decompose f/2 greedily and combine the two halves,
-    # resolving every duplicate with the splitting identity.
-    if f.numerator == 1:
-        return False, [f.denominator]
-    if allow_two_thirds and f == TWO_THIRDS:
+def _splitting(a: int, b: int, allow_two_thirds: bool) -> tuple[bool, list[int]]:
+    # 0 < a/b < 1 in lowest terms. A value already written as a single term
+    # stays put; otherwise decompose half of it greedily and combine the two
+    # halves, resolving every duplicate with the splitting identity. The
+    # half, a/2 over b for even a or a over 2b for odd a, is in lowest terms.
+    if a == 1:
+        return False, [b]
+    if allow_two_thirds and (a, b) == (2, 3):
         return True, []
-    half = _greedy_unit_denominators(f / 2)
+    half = _greedy_unit_denominators(a // 2, b) if a % 2 == 0 else _greedy_unit_denominators(a, 2 * b)
     return False, resolve_duplicates(half, half)
 
 
@@ -414,10 +421,10 @@ class _Search:
         max_den, best = self.max_den, self.best
         lo = max(d_min, -(-b // a))
         hi = min(max_den, t * b // a)
-        # lift lo past the provably dead region: the child's remainder
-        # must admit terms <= max_denominator (two of them when t == 3)
-        need = 2 if t == 3 else 1
-        slack = a * max_den - need * b
+        # lift lo past the provably dead region: the child's t - 1 terms
+        # are each at least 1/max_den, so its remainder a/b - 1/d is at
+        # least (t - 1)/max_den
+        slack = a * max_den - (t - 1) * b
         if slack <= 0:
             return
         lo = max(lo, -(-b * max_den // slack))
@@ -507,11 +514,10 @@ class _Search:
                     best.offer(path + (p * k1, p * k2, p * k3))
 
 
-def _best_k_term(f: Fraction, k: int, policy: DecompositionPolicy, best: _BestCandidate) -> None:
-    # feed every k-term distinct unit-fraction decomposition of f (all
-    # denominators <= max_denominator) into the running best
+def _best_k_term(a0: int, b0: int, k: int, policy: DecompositionPolicy, best: _BestCandidate) -> None:
+    # feed every k-term distinct unit-fraction decomposition of a0/b0
+    # (lowest terms; all denominators <= max_denominator) into the running best
     max_den = policy.max_denominator
-    a0, b0 = f.numerator, f.denominator
     if k == 1:
         if a0 == 1 and 2 <= b0 <= max_den:
             best.offer((b0,))
@@ -523,25 +529,27 @@ def _best_k_term(f: Fraction, k: int, policy: DecompositionPolicy, best: _BestCa
     _Search(max_den, best).node(a0, b0, root_factors, (), k, 2)
 
 
-def _shortest(f: Fraction, policy: DecompositionPolicy) -> tuple[bool, list[int]]:
-    # 0 < f < 1. Minimal term count wins; at equal length a form using the
-    # 2/3 primitive is preferred, then the policy tie-break on denominators.
-    rest = f - TWO_THIRDS if policy.allow_two_thirds else None
+def _shortest(a: int, b: int, policy: DecompositionPolicy) -> tuple[bool, list[int]]:
+    # 0 < a/b < 1 in lowest terms. Minimal term count wins; at equal length
+    # a form using the 2/3 primitive is preferred, then the policy
+    # tie-break on denominators.
+    rest = None
+    if policy.allow_two_thirds and 3 * a >= 2 * b:
+        if (a, b) == (2, 3):
+            return True, []
+        rest = _minus_two_thirds(a, b)
     for k in range(1, policy.max_terms + 1):
-        if rest is not None:
-            if k == 1 and rest == 0:
-                return True, []
-            if k > 1 and rest > 0:
-                best = _BestCandidate(policy)
-                _best_k_term(rest, k - 1, policy, best)
-                if best.dens is not None:
-                    return True, list(best.dens)
+        if rest is not None and k > 1:
+            best = _BestCandidate(policy)
+            _best_k_term(*rest, k - 1, policy, best)
+            if best.dens is not None:
+                return True, list(best.dens)
         best = _BestCandidate(policy)
-        _best_k_term(f, k, policy, best)
+        _best_k_term(a, b, k, policy, best)
         if best.dens is not None:
             return False, list(best.dens)
     raise BoundsExceededError(
-        f"no decomposition of {f} within max_terms={policy.max_terms} "
+        f"no decomposition of {a}/{b} within max_terms={policy.max_terms} "
         f"and max_denominator={policy.max_denominator}",
         max_terms=policy.max_terms,
         max_denominator=policy.max_denominator,
@@ -555,18 +563,18 @@ def decompose(r: Fraction | int, policy: DecompositionPolicy = DEFAULT_POLICY) -
     Raises ``BoundsExceededError`` when shortest_search runs out of room.
     """
     r = as_rational(r)
-    if r <= 0:
+    a, b = r.numerator, r.denominator
+    if a <= 0:
         raise ValueError(f"can only decompose positive values, got {r}")
-    integer_part = int(r)
-    f = r - integer_part
-    if f == 0:
+    integer_part, a = divmod(a, b)
+    if a == 0:
         return UnitFractionSum(integer_part)
     if policy.strategy == GREEDY:
-        marker, dens = _greedy(f, policy.allow_two_thirds)
+        marker, dens = _greedy(a, b, policy.allow_two_thirds)
     elif policy.strategy == SPLITTING:
-        marker, dens = _splitting(f, policy.allow_two_thirds)
+        marker, dens = _splitting(a, b, policy.allow_two_thirds)
     else:
-        marker, dens = _shortest(f, policy)
+        marker, dens = _shortest(a, b, policy)
     return UnitFractionSum(integer_part, marker, tuple(dens))
 
 

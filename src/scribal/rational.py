@@ -19,8 +19,6 @@ from fractions import Fraction
 
 Rational = Fraction
 
-TWO_THIRDS = Fraction(2, 3)
-
 _TERM_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
@@ -105,12 +103,13 @@ class UnitFractionSum:
 
     def value(self) -> Fraction:
         """The exact Rational this notation denotes."""
-        total = Fraction(self.integer_part)
+        # sum over plain integers; one Fraction, reduced once, at the end
+        num, den = self.integer_part, 1
         if self.two_thirds:
-            total += TWO_THIRDS
+            num, den = 3 * num + 2, 3
         for d in self.denominators:
-            total += Fraction(1, d)
-        return total
+            num, den = num * d + den, den * d
+        return Fraction(num, den)
 
     @property
     def term_count(self) -> int:

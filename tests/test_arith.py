@@ -7,7 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scribal import arith
@@ -37,6 +37,7 @@ from scribal.arith import (
     _greedy_unit_denominators,
     _two_term_into,
 )
+from scribal.rational import UnitFractionSum
 
 F = Fraction
 
@@ -771,7 +772,150 @@ def reference_greedy(f):
 def test_integer_greedy_matches_fraction_loop(a, b):
     f = F(a, b) - a // b
     assume(f > 0)
-    assert _greedy_unit_denominators(f) == reference_greedy(f)
+    assert _greedy_unit_denominators(f.numerator, f.denominator) == reference_greedy(f)
+
+
+# The Fraction front end that decompose and UnitFractionSum.value replaced
+# with integer pairs, kept as the reference (greedy on the Fraction loop).
+REFERENCE_TWO_THIRDS = F(2, 3)
+
+
+def reference_greedy_strategy(f, allow_two_thirds):
+    if allow_two_thirds and f >= REFERENCE_TWO_THIRDS:
+        return True, reference_greedy(f - REFERENCE_TWO_THIRDS)
+    return False, reference_greedy(f)
+
+
+def reference_splitting_strategy(f, allow_two_thirds):
+    if f.numerator == 1:
+        return False, [f.denominator]
+    if allow_two_thirds and f == REFERENCE_TWO_THIRDS:
+        return True, []
+    half = reference_greedy(f / 2)
+    return False, resolve_duplicates(half, half)
+
+
+def reference_decompose(r, policy):
+    if r <= 0:
+        raise ValueError(f"can only decompose positive values, got {r}")
+    integer_part = int(r)
+    f = r - integer_part
+    if f == 0:
+        return UnitFractionSum(integer_part)
+    strategy = reference_greedy_strategy if policy.strategy == GREEDY else reference_splitting_strategy
+    marker, dens = strategy(f, policy.allow_two_thirds)
+    return UnitFractionSum(integer_part, marker, tuple(dens))
+
+
+def reference_value(u):
+    total = F(u.integer_part)
+    if u.two_thirds:
+        total += REFERENCE_TWO_THIRDS
+    for d in u.denominators:
+        total += F(1, d)
+    return total
+
+
+@st.composite
+def front_end_values(draw):
+    # a whole part and a proper fraction: random, on or next to 2/3, a unit
+    # fraction, or an even or odd numerator over an odd denominator (which
+    # keeps the numerator's parity in lowest terms); or a whole number
+    whole = draw(st.sampled_from([0, 0, 1, 2, 7, 10**12]))
+    kind = draw(st.sampled_from(["random", "near_two_thirds", "unit", "even", "odd", "whole"]))
+    if kind == "whole":
+        return F(max(whole, 1))
+    b = draw(st.integers(2, 3000))
+    if kind == "near_two_thirds":
+        a = 2 * b // 3 + draw(st.integers(-1, 2))
+    elif kind == "unit":
+        a = 1
+    elif kind in ("even", "odd"):
+        b |= 1
+        a = 2 * draw(st.integers(1, b // 2)) - (kind == "odd")
+    else:
+        a = draw(st.integers(1, b - 1))
+    assume(0 < a < b)
+    return whole + F(a, b)
+
+
+class TestIntegerFrontEnd:
+    @given(front_end_values(), st.sampled_from([GREEDY, SPLITTING]), st.booleans())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_the_fraction_front_end(self, value, strategy, allow_two_thirds):
+        policy = DecompositionPolicy(strategy=strategy, allow_two_thirds=allow_two_thirds)
+        assert decompose(value, policy) == reference_decompose(value, policy)
+        if value.denominator == 1:
+            assert decompose(value.numerator, policy) == reference_decompose(value, policy)
+
+    @pytest.mark.parametrize("allow_two_thirds", [True, False])
+    @pytest.mark.parametrize("strategy", [GREEDY, SPLITTING])
+    def test_on_and_next_to_two_thirds(self, strategy, allow_two_thirds):
+        policy = DecompositionPolicy(strategy=strategy, allow_two_thirds=allow_two_thirds)
+        for value in (F(2, 3), F(5, 3), F(665, 999), F(667, 1000), F(666, 1000), F(1999, 3000), F(2001, 3000)):
+            assert decompose(value, policy) == reference_decompose(value, policy), value
+
+    @given(
+        st.integers(0, 10**6),
+        st.booleans(),
+        st.lists(st.integers(2, 10**6), max_size=6, unique=True).map(sorted),
+    )
+    @example(0, False, [])
+    @example(0, True, [])
+    @example(4, True, [])
+    @example(0, True, [7, 52, 1092])
+    @settings(max_examples=400, deadline=None)
+    def test_value_matches_the_fraction_sum(self, integer_part, two_thirds, dens):
+        u = UnitFractionSum(integer_part, two_thirds, tuple(dens))
+        got = u.value()
+        assert type(got) is Fraction
+        assert got == reference_value(u)
+
+    def test_bounds_message_names_the_fraction_part(self):
+        with pytest.raises(BoundsExceededError) as exc_info:
+            decompose(F(1998, 1993))
+        assert str(exc_info.value) == (
+            "no decomposition of 5/1993 within max_terms=4 and max_denominator=10000"
+        )
+
+    def test_error_messages(self):
+        with pytest.raises(TypeError, match=r"^expected an exact rational, got float$"):
+            decompose(0.5)
+        with pytest.raises(ValueError, match=r"^can only decompose positive values, got -1/2$"):
+            decompose(F(-1, 2))
+        with pytest.raises(ValueError, match=r"^can only decompose positive values, got 0$"):
+            decompose(0)
+
+    def test_3_9973_builds_no_child_factors(self):
+        # 1/d + three terms of at least 1/10000 exceed 3/9973 for every d in
+        # the root's window, so the slack check ends the search at its root
+        with mock.patch.object(arith, "_child_factors", wraps=arith._child_factors) as spy:
+            with pytest.raises(BoundsExceededError):
+                decompose(F(3, 9973))
+        assert spy.call_count == 0
+
+
+def test_benchmark_search_golden():
+    # every input the benchmark's search workload draws from, with its
+    # recorded output under each policy the benchmark runs
+    golden = json.loads((Path(__file__).parents[1] / "benchmarks" / "golden" / "search.json").read_text())
+    policies = {
+        "table": TABLE_POLICY,
+        "default": DEFAULT_POLICY,
+        "greedy": DecompositionPolicy(strategy=GREEDY),
+        "splitting": DecompositionPolicy(strategy=SPLITTING),
+    }
+    assert len(golden) == 3088
+    mismatches = []
+    for key, recorded in golden.items():
+        name, _, value = key.partition(":")
+        try:
+            got = decompose(F(value), policies[name]).render()
+        except BoundsExceededError:
+            got = "BoundsExceededError"
+        if got != recorded:
+            mismatches.append((key, recorded, got))
+    assert mismatches == []
 
 
 class TestExactnessCampaign:
@@ -807,8 +951,6 @@ class TestExactnessCampaign:
         assert produced >= 700
 
     def test_unit_sum_round_trip_under_every_strategy(self):
-        from scribal.rational import UnitFractionSum
-
         rng = random.Random(12)
         for _ in range(150):
             dens = tuple(sorted(rng.sample(range(2, 31), rng.randint(0, 3))))
