@@ -290,45 +290,20 @@ def _two_term_into(
 ) -> str | None:
     # all x < y with 1/x + 1/y = a/b (lowest terms), x >= d_min and
     # best.y_floor <= y <= max_den; the smallest possible y is 2b/a, so bail
-    # early when that overshoots. Returns the path that ran ("prime",
-    # "scan" or "pairs"), or None for an empty window.
+    # early when that overshoots. Returns the path that ran ("scan" or
+    # "pairs"), or None for an empty window.
     if 2 * b > a * max_den:
         return None
     # x = b*y/(a*y - b) falls as y rises, so y <= max_den forces
-    # x >= b*max_den/(a*max_den - b) and y >= y_floor forces
-    # x <= b*y_floor/(a*y_floor - b), narrowing the window
-    lo = max(d_min, b // a + 1, -(-b * max_den // (a * max_den - b)))
+    # x >= b*max_den/(a*max_den - b), which exceeds b/a, and y >= y_floor
+    # forces x <= b*y_floor/(a*y_floor - b), narrowing the window
+    lo = max(d_min, -(-b * max_den // (a * max_den - b)))
     hi = min(max_den, 2 * b // a)
     y_floor = best.y_floor
     if a * y_floor > b:
         hi = min(hi, b * y_floor // (a * y_floor - b))
     if lo > hi:
         return None
-    if b_factors:
-        p = max(b_factors)
-        if p * p > max_den:
-            # b divides lcm(x, y), so p divides x or y, and no term up to
-            # max_den < p*p holds p*p. With b = p*c the terms that p
-            # divides are p*k with k < p, and their 1/k sum to a/c mod p:
-            # either x is a multiple of p, or y = p*k0 with k0*a = c mod p.
-            # In the second case x is no multiple of p, or 1/(x/p) would be
-            # 0 mod p, so the cases never meet; and x != y, so x <= hi <=
-            # 2b/a gives x < y.
-            if b_factors[p] > 1:
-                return "prime"
-            for x in range(-(-lo // p) * p, hi + 1, p):
-                e = a * x - b
-                if b * x % e == 0:
-                    y = b * x // e
-                    if x < y:
-                        best.offer(prefix + (x, y))
-            y = p * (b // p * pow(a, -1, p) % p)
-            e = a * y - b
-            if e > 0 and b * y % e == 0:
-                x = b * y // e
-                if lo <= x <= hi:
-                    best.offer(prefix + (x, y))
-            return "prime"
     if b_factors is None or hi - lo + 1 <= 4 * math.prod(e + 1 for e in b_factors.values()):
         # x = (e + b)/a and y = (b*b/e + b)/a, so step e = a*x - b through
         # the window and keep the divisors of b*b
@@ -419,15 +394,15 @@ class _Search:
         # every t-term form of a/b (lowest terms, t >= 3; factors its
         # denominator's, None past 10**8) with terms of at least d_min
         max_den, best = self.max_den, self.best
-        lo = max(d_min, -(-b // a))
         hi = min(max_den, t * b // a)
         # lift lo past the provably dead region: the child's t - 1 terms
         # are each at least 1/max_den, so its remainder a/b - 1/d is at
-        # least (t - 1)/max_den
+        # least (t - 1)/max_den. As slack < a*max_den, that puts lo above
+        # b/a, so every child's remainder is positive.
         slack = a * max_den - (t - 1) * b
         if slack <= 0:
             return
-        lo = max(lo, -(-b * max_den // slack))
+        lo = max(d_min, -(-b * max_den // slack))
         if t == 3 and factors:
             p = max(factors)
             if p * p > max_den:
@@ -437,19 +412,14 @@ class _Search:
                 return
         for d in range(lo, hi + 1):
             na, nb = a * d - b, b * d
-            if na <= 0:
-                continue
             # The child's t-1 terms exceed d, so all but its last sum to at
             # most s = 1/(d+1) + ... + 1/(d+t-2), and its largest
             # denominator is at most 1/(na/nb - s) when that gap is
             # positive. Below the best's y_floor nothing can win or tie;
             # the bound falls as d rises and y_floor never falls, so stop.
-            if t == 3:
-                s_num, s_den = 1, d + 1
-            else:
-                s_num, s_den = 0, 1
-                for i in range(d + 1, d + t - 1):
-                    s_num, s_den = s_num * i + s_den, s_den * i
+            s_num, s_den = 0, 1
+            for i in range(d + 1, d + t - 1):
+                s_num, s_den = s_num * i + s_den, s_den * i
             if nb * s_den < best.y_floor * (na * s_den - nb * s_num):
                 break
             g = math.gcd(na, nb)
@@ -516,10 +486,11 @@ class _Search:
 
 def _best_k_term(a0: int, b0: int, k: int, policy: DecompositionPolicy, best: _BestCandidate) -> None:
     # feed every k-term distinct unit-fraction decomposition of a0/b0
-    # (lowest terms; all denominators <= max_denominator) into the running best
+    # (0 < a0 < b0 in lowest terms; all denominators <= max_denominator)
+    # into the running best
     max_den = policy.max_denominator
     if k == 1:
-        if a0 == 1 and 2 <= b0 <= max_den:
+        if a0 == 1 and b0 <= max_den:
             best.offer((b0,))
         return
     root_factors = _factorize_small(b0) if b0 <= 10**8 else None
