@@ -438,13 +438,13 @@ def draw_floor(data, forms, max_den):
     return data.draw(st.sampled_from(near) | anywhere if near else anywhere)
 
 
-def floored(data, leaf, factors, last=None):
+def floored(data, leaf, factors, near_last=False):
     """Check that under a drawn y_floor the leaf offers exactly the
     reference leaf's forms that reach it; return the path that ran. The
     floor is drawn near the largest denominators of the reference forms,
-    or of the last ones, those with the smallest largest denominators."""
+    or, with near_last, near that of the last form alone, the smallest."""
     forms = leaf_forms(leaf, _factorize_small(leaf[1]), reference=True)[0]
-    y_floor = draw_floor(data, forms[-last:] if last else forms, leaf[3])
+    y_floor = draw_floor(data, forms[-1:] if near_last else forms, leaf[3])
     got, path = leaf_forms(leaf, factors, y_floor=y_floor)
     assert got == [form for form in forms if form[-1] >= y_floor], y_floor
     return path
@@ -458,11 +458,11 @@ class TestIncumbentFloor:
     @settings(max_examples=300, deadline=None)
     def test_divisor_pair_side(self, leaf, data):
         # The leaf is kept when it takes the divisor pairs with no floor.
-        # A floor narrows the window, so the scan may run under it; a floor
-        # near the last two forms cuts a few and mostly keeps the pairs.
+        # A floor narrows the window, so the scan may run under it; one
+        # near the smallest largest denominator mostly keeps the pairs.
         factors = _factorize_small(leaf[1])
         assume(leaf_forms(leaf, factors)[1] == "pairs")
-        floored(data, leaf, factors, last=1)
+        floored(data, leaf, factors, near_last=True)
 
     @given(leaves(smooth=True), st.data())
     @settings(max_examples=300, deadline=None)
@@ -524,7 +524,7 @@ LARGE_PRIMES = tuple(p for p in range(23, 400) if all(p % q for q in range(2, ma
 
 @st.composite
 def large_prime_leaves(draw, square=False):
-    """(leaf, p) for a leaf whose denominator may hold a prime p with p*p > max_den.
+    """A leaf whose denominator may hold a prime p with p*p > max_den.
 
     a/b = 1/x + 1/y with p dividing y only, x only, or both, and d_min and
     max_den on, next to or away from x and y; max_den reaches p*p + 1 at
@@ -541,7 +541,7 @@ def large_prime_leaves(draw, square=False):
         while math.gcd(a, b) > 1:
             a += 1
         d_min = draw(st.sampled_from([2]) | st.integers(2, max_den))
-        return (a, b, d_min, max_den), p
+        return a, b, d_min, max_den
     planted = draw(st.integers(2 * p, top))
     side = draw(st.sampled_from(["y", "x", "both"]))
     if side == "y":
@@ -560,7 +560,7 @@ def large_prime_leaves(draw, square=False):
     value = F(1, x) + F(1, y)
     max_den = draw(st.sampled_from([y, y - 1, y + 1, top]) | st.integers(2, top))
     d_min = draw(st.sampled_from([x, x - 1, x + 1, 2]) | st.integers(2, y))
-    return (value.numerator, value.denominator, max(d_min, 2), max(max_den, 2)), p
+    return value.numerator, value.denominator, max(d_min, 2), max(max_den, 2)
 
 
 class TestLargePrimeLeaf:
@@ -569,13 +569,12 @@ class TestLargePrimeLeaf:
     # leaf's forms that reach the incumbent's y_floor.
     @given(large_prime_leaves(), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_planted_forms(self, drawn, data):
-        floored(data, drawn[0], _factorize_small(drawn[0][1]))
+    def test_planted_forms(self, leaf, data):
+        floored(data, leaf, _factorize_small(leaf[1]))
 
     @given(large_prime_leaves(square=True))
     @settings(max_examples=100, deadline=None)
-    def test_square_of_the_prime_offers_nothing(self, drawn):
-        leaf = drawn[0]
+    def test_square_of_the_prime_offers_nothing(self, leaf):
         factors = _factorize_small(leaf[1])
         assert leaf_forms(leaf, factors)[0] == [] == leaf_forms(leaf, factors, reference=True)[0]
 
