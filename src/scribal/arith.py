@@ -310,11 +310,10 @@ def _two_term_into(
         bb = b * b
         for e in range(a * lo - b, a * hi - b + 1, a):
             if bb % e == 0:
-                f = bb // e + b
-                if f % a == 0:
-                    x, y = (e + b) // a, f // a
-                    if x < y <= max_den:
-                        best.offer(prefix + (x, y))
+                # e = -b mod a and gcd(a, b) = 1, so bb/e = -b mod a too
+                x, y = (e + b) // a, (bb // e + b) // a
+                if x < y <= max_den:
+                    best.offer(prefix + (x, y))
         return "scan"
     # Every solution is x = j*b/n, y = j*b/m for coprime m < n with m*n | b
     # and m + n = j*a (Rav). So m*m < b, y <= max_den needs m >= b/max_den,
@@ -405,7 +404,9 @@ class _Search:
         lo = max(d_min, -(-b * max_den // slack))
         if t == 3 and factors:
             p = max(factors)
-            if p * p > max_den:
+            # with L = max_den // (p*p), the split needs 2*L < p and, when
+            # L > 0, p to divide b once; past L = 2 it tries too many k to pay
+            if p * p > max_den or (max_den < 3 * p * p and 2 * (max_den // (p * p)) < p and factors[p] == 1):
                 # every term is at least lo, the smallest term's bound
                 if lo <= hi:
                     self.split(a, b, factors, p, path, lo)
@@ -433,12 +434,19 @@ class _Search:
                 self.node(na, nb, child, path + (d,), t - 1, d + 1)
 
     def split(self, a: int, b: int, factors: dict[int, int], p: int, path: tuple[int, ...], d_min: int) -> None:
-        # The three-term forms of a/b when b's prime p has p*p > max_den.
-        # b divides the lcm of the terms and no term up to max_den holds
-        # p*p, so p*p | b leaves none. Otherwise, with b = p*c, the terms
-        # that p divides are p*k with k <= K = max_den // p < p, and their
-        # 1/k sum to a/c mod p. Each form has one such set S of k, so the
-        # forms fall into disjoint groups by |S|.
+        # The three-term forms of a/b with terms of at least d_min > b/a,
+        # where b's largest prime p has L = max_den // (p*p) with 2*L < p,
+        # and p*p divides b only when L = 0. b divides the lcm of the
+        # terms, so p*p | b then leaves none: no term up to max_den holds
+        # p*p. Otherwise, with b = p*c, the terms that p divides are p*k
+        # with k <= K = max_den // p, and their 1/k sum to a/c mod p. Each
+        # form has one such set S of k, so the forms fall into disjoint
+        # groups by |S|. A k that p divides is p*j with j <= L < p, and its
+        # 1/k has p in the denominator: alone nothing cancels it, and two
+        # such k need j1 + j2 = 0 mod p, more than 2*L. So a set of one or
+        # two k holds no multiple of p, nor does the third term beside a
+        # pair, and the residues of its k mod p fix them up to a step of p,
+        # at most L + 1 values each.
         if factors[p] > 1:
             return
         max_den, best = self.max_den, self.best
@@ -446,34 +454,37 @@ class _Search:
         K = max_den // p
         k_lo = -(-d_min // p)
         k0 = c * pow(a, -1, p) % p  # 1/k0 = a/c mod p
-        # |S| = 1: S = {k0}, and the rest is a two-term leaf free of p
+        # |S| = 1: S = {k} for each k = k0 mod p, and the rest is a
+        # two-term leaf free of p; x > b/a, so the rest is positive
         x = p * k0
-        if k0 <= K and x >= d_min:
-            na, nb = a * x - b, b * x
-            if na > 0:
+        while x <= max_den:
+            if x >= d_min:
+                na, nb = a * x - b, b * x
                 g = math.gcd(na, nb)
                 _two_term_into(na // g, nb // g, _child_factors(factors, x, g), d_min, max_den, (),
                                _Merged(best, p, x, path))
+            x += p * p
         # |S| = 2: k1 < k2 with 1/k2 = a/c - 1/k1 mod p, and the third term
         # 1/m is the rest. 1/(p*k1) < a/b, and 2/(p*k1) exceeds
         # 1/(p*k1) + 1/(p*k2) = a/b - 1/m >= a/b - 1/d_min.
-        hi = K - 1
-        if a * d_min > b:
-            hi = min(hi, 2 * b * d_min // (p * (a * d_min - b)))
+        hi = min(K - 1, 2 * b * d_min // (p * (a * d_min - b)))
         for k1 in range(max(k_lo, c // a + 1), hi + 1):
             e = a * k1 - c  # a/b - 1/(p*k1) = e/(b*k1)
             if e % p == 0:
                 continue
+            # every k2 > k1 in its residue class; a k1 that p divides puts
+            # k2 in the class of 0 and offers nothing
             k2 = k1 * c * pow(e, -1, p) % p
-            if k1 < k2 <= K:
+            while k2 <= K:
                 n = e * k2 - c * k1  # the rest is n/(b*k1*k2)
-                if n > 0:
+                if k2 > k1 and n > 0:
                     m, r = divmod(b * k1 * k2, n)
                     if not r and d_min <= m <= max_den:
                         x, y = p * k1, p * k2
                         dens = (m, x, y) if m < x else (x, m, y) if m < y else (x, y, m)
                         if dens[-1] >= best.y_floor:
                             best.offer(path + dens)
+                k2 += p
         # |S| = 3: 1/k1 + 1/k2 + 1/k3 = a/c exactly
         for k1 in range(max(k_lo, c // a + 1), min(K, 3 * c // a) + 1):
             e, f = a * k1 - c, c * k1

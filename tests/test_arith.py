@@ -636,29 +636,34 @@ def reference_three_term(a, b, factors, d_min, max_den, path, best):
 
 
 # the primes from 23 to 113: the reference level's window, and so its
-# cost, grows with max_den < p*p
+# cost, grows with max_den < 3*p*p
 SPLIT_PRIMES = tuple(p for p in LARGE_PRIMES if p <= 113)
 
 
 @st.composite
 def three_term_nodes(draw):
     """(a, b, d_min, max_den) for a three-term level whose denominator
-    mostly holds a prime p with p*p > max_den.
+    mostly holds a prime p with p*p > max_den, or with
+    p*p <= max_den < 3*p*p.
 
     Mostly a/b = 1/x + 1/y + 1/z with one, two or three of the terms
     multiples p*k of p, k <= K = max_den // p. max_den runs from p (K = 1)
-    to p*p - 1. One draw in six takes p*p <= 2*max_den, so that two of the
-    k can sum to p, and plants three k with such a pair; one in six plants
-    two consecutive k (often K - 1 and K) and a smaller third term; the
-    rest plant any k, and put the other terms below or above the multiples
-    of p. d_min sits on, next to or away from the smallest term and each
+    to p*p - 1, or, in one draw in three, from p*p (K = p) to 3*p*p - 1,
+    where a residue class mod p holds up to three k. One draw in six takes
+    2*K > p and plants three k with a pair that sums to p; one in six
+    plants two consecutive k (often K - 1 and K) and a smaller third term;
+    one in six with K > p plants two k of one residue class; the rest
+    plant any k, and put the other terms below or above the multiples of
+    p. d_min sits on, next to or away from the smallest term and each
     multiple of p.
     Sometimes a plain a/b with b = p*m or p*p*m for m < 23, so p is b's
-    largest prime; the second has no form.
+    largest prime; the second has no form when p*p > max_den.
     """
     p = draw(st.sampled_from(SPLIT_PRIMES))
     kind = draw(st.integers(0, 5))
-    if kind == 1:
+    if draw(st.integers(0, 2)) == 0:
+        max_den = draw(st.sampled_from([p * p, 3 * p * p - 1]) | st.integers(p * p, 3 * p * p - 1))
+    elif kind == 1:
         # two of the k sum to p, so 2*K > p and p*p <= 2*max_den
         max_den = draw(st.integers((p * p + 1) // 2 + p, p * p - 1))
     else:
@@ -676,11 +681,14 @@ def three_term_nodes(draw):
     else:
         consecutive = kind == 2 and K >= 2
         if kind == 1:
-            ka = draw(st.integers(p - K, K))
+            ka = draw(st.integers(max(1, p - K), min(K, p - 1)))
             ks = [draw(st.integers(1, K)), ka, p - ka]
         elif consecutive:
             k1 = draw(st.sampled_from([K - 1]) | st.integers(1, K - 1))
             ks = [k1, k1 + 1]
+        elif kind == 3 and K > p:
+            k1 = draw(st.integers(1, K - p))
+            ks = [k1, k1 + p * draw(st.integers(1, (K - k1) // p))]
         else:
             size = draw(st.integers(1, min(3, K)))
             ks = draw(st.lists(st.integers(1, K), min_size=size, max_size=size, unique=True))
@@ -717,13 +725,16 @@ def three_term_forms(node, *, reference=False, y_floor=0):
 
 
 def takes_the_split(node):
-    p = max(_factorize_small(node[1]))
-    return p * p > node[3]
+    factors = _factorize_small(node[1])
+    p = max(factors)
+    L = node[3] // (p * p)
+    return L <= 2 and 2 * L < p and (not L or factors[p] == 1)
 
 
 class TestThreeTermSplit:
-    # A three-term level whose denominator has a prime p with p*p >
-    # max_den is solved by the set of its terms that p divides, and offers
+    # A three-term level whose denominator's largest prime p has p*p >
+    # max_den, or divides it once with L = max_den // (p*p) <= 2 and
+    # 2*L < p, is solved by the set of its terms that p divides, and offers
     # exactly the reference level's forms that reach the incumbent's
     # y_floor, each once.
     @given(three_term_nodes(), st.data())
@@ -738,14 +749,33 @@ class TestThreeTermSplit:
     def test_each_size_of_the_set(self):
         # p = 101 and max_den = 10000: one, two and three multiples of p,
         # and three whose pair 40 + 61 = 101 makes the rest of the set
-        # {20} offer the form again, as 1/4040 + 1/6161 = 1/2440
-        for terms in [(30, 707, 4000), (60, 202, 303), (505, 909, 1010), (2020, 4040, 6161)]:
+        # {20} offer the form again, as 1/4040 + 1/6161 = 1/2440. Then
+        # p = 61 with K = 163 > p: 1/183 + 1/3904 = 1/(61*3) + 1/(61*64)
+        # with 64 = 3 mod 61 takes the second k of its class, and so does
+        # a lone 1/4331 = 1/(61*71) with 71 = 10 mod 61.
+        for terms in [(30, 707, 4000), (60, 202, 303), (505, 909, 1010), (2020, 4040, 6161),
+                      (11, 183, 3904), (10, 20, 4331)]:
             value = sum(F(1, t) for t in terms)
             node = (value.numerator, value.denominator, 2, 10000)
             assert takes_the_split(node), terms
             got = three_term_forms(node)
             assert (7,) + tuple(sorted(terms)) in got and len(set(got)) == len(got)
             assert got == three_term_forms(node, reference=True), terms
+
+    def test_loop_kept(self):
+        # The level keeps its loop when a set of k may hold multiples of
+        # p. At p = 3 and L = 2, 9 = 3*3*1 and 18 = 3*3*2 have
+        # j1 + j2 = 3 = 0 mod p, so they stand in the sets {3, 6} of
+        # 5/12 = 1/4 + 1/9 + 1/18 and {3, 6, 8} of 5/24 = 1/9 + 1/18 +
+        # 1/24, which the split's pairs would offer a second time. In
+        # 89339/260470 = 1/5 + 1/7 + 1/7442, 260470 = 2*5*7*61*61 with
+        # 61*61 <= 10000, and a term holds 61*61.
+        for node, form in [((5, 12, 2, 18), (7, 4, 9, 18)), ((5, 24, 2, 24), (7, 9, 18, 24)),
+                           ((89339, 260470, 2, 10000), (7, 5, 7, 7442))]:
+            assert not takes_the_split(node)
+            got = three_term_forms(node)
+            assert form in got
+            assert got == three_term_forms(node, reference=True)
 
     def test_square_of_the_prime_offers_nothing(self):
         # 7/(2*101*101) passes the slack check, and no leaf runs
