@@ -73,10 +73,12 @@ class DecompositionPolicy:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if self.max_denominator < 2:
-            raise ValueError("max_denominator must be >= 2")
+        for name, least in (("max_terms", 1), ("max_denominator", 2)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
 
 
 DEFAULT_POLICY = DecompositionPolicy()
@@ -284,53 +286,6 @@ class _BestCandidate:
             self.dens = dens
 
 
-def _two_term_into(
-    a: int, b: int, b_factors: dict[int, int] | None, d_min: int, max_den: int,
-    prefix: tuple[int, ...], best: _BestCandidate,
-) -> str | None:
-    # all x < y with 1/x + 1/y = a/b (lowest terms), x >= d_min and
-    # best.y_floor <= y <= max_den; the smallest possible y is 2b/a, so bail
-    # early when that overshoots. Returns the path that ran ("scan" or
-    # "pairs"), or None for an empty window.
-    if 2 * b > a * max_den:
-        return None
-    # x = b*y/(a*y - b) falls as y rises, so y <= max_den forces
-    # x >= b*max_den/(a*max_den - b), which exceeds b/a, and y >= y_floor
-    # forces x <= b*y_floor/(a*y_floor - b), narrowing the window
-    lo = max(d_min, -(-b * max_den // (a * max_den - b)))
-    hi = min(max_den, 2 * b // a)
-    y_floor = best.y_floor
-    if a * y_floor > b:
-        hi = min(hi, b * y_floor // (a * y_floor - b))
-    if lo > hi:
-        return None
-    if b_factors is None or hi - lo + 1 <= 4 * math.prod(e + 1 for e in b_factors.values()):
-        # x = (e + b)/a and y = (b*b/e + b)/a, so step e = a*x - b through
-        # the window and keep the divisors of b*b
-        bb = b * b
-        for e in range(a * lo - b, a * hi - b + 1, a):
-            if bb % e == 0:
-                # e = -b mod a and gcd(a, b) = 1, so bb/e = -b mod a too
-                x, y = (e + b) // a, (bb // e + b) // a
-                if x < y <= max_den:
-                    best.offer(prefix + (x, y))
-        return "scan"
-    # Every solution is x = j*b/n, y = j*b/m for coprime m < n with m*n | b
-    # and m + n = j*a (Rav). So m*m < b, y <= max_den needs m >= b/max_den,
-    # n > m needs j > 2m/a and n <= b/m needs j <= (b/m + m)/a. x falls as
-    # j rises, so x >= lo gives j <= lo*m/(lo*a - b), which also keeps
-    # y <= max_den, since lo is at least the x of y = max_den. The loop
-    # ignores hi, so y >= y_floor is checked on each solution.
-    lo_excess = lo * a - b
-    for m in _divisors_between(b, b_factors, -(-b // max_den), math.isqrt(b - 1)):
-        q = b // m
-        for j in range(2 * m // a + 1, min((q + m) // a, lo * m // lo_excess) + 1):
-            n = j * a - m
-            if q % n == 0 and math.gcd(m, n) == 1 and j * q >= y_floor:
-                best.offer(prefix + (j * b // n, j * q))
-    return "pairs"
-
-
 def _child_factors(factors: dict[int, int], d: int, g: int) -> dict[int, int]:
     # the factors of b*d/g from those of b, where every prime of g divides d
     child = dict(factors)
@@ -390,7 +345,7 @@ class _Search:
         self.best = best
 
     def node(self, a: int, b: int, factors: dict[int, int] | None, path: tuple[int, ...], t: int, d_min: int) -> None:
-        # every t-term form of a/b (lowest terms, t >= 3; factors its
+        # every t-term form of a/b (lowest terms, t >= 2; factors its
         # denominator's, None past 10**8) with terms of at least d_min
         max_den, best = self.max_den, self.best
         hi = min(max_den, t * b // a)
@@ -402,6 +357,40 @@ class _Search:
         if slack <= 0:
             return
         lo = max(d_min, -(-b * max_den // slack))
+        if t == 2:
+            # the leaf: all x < y with 1/x + 1/y = a/b. lo keeps y <= max_den,
+            # and y >= y_floor forces x <= b*y_floor/(a*y_floor - b)
+            y_floor = best.y_floor
+            if a * y_floor > b:
+                hi = min(hi, b * y_floor // (a * y_floor - b))
+            if lo > hi:
+                return
+            if factors is None or hi - lo + 1 <= 4 * math.prod(e + 1 for e in factors.values()):
+                # x = (e + b)/a and y = (b*b/e + b)/a, so step e = a*x - b
+                # through the window and keep the divisors of b*b
+                bb = b * b
+                for e in range(a * lo - b, a * hi - b + 1, a):
+                    if bb % e == 0:
+                        # e = -b mod a and gcd(a, b) = 1, so bb/e = -b mod a too
+                        x, y = (e + b) // a, (bb // e + b) // a
+                        if x < y <= max_den:
+                            best.offer(path + (x, y))
+                return
+            # Every solution is x = j*b/n, y = j*b/m for coprime m < n with
+            # m*n | b and m + n = j*a (Rav). So m*m < b, y <= max_den needs
+            # m >= b/max_den, n > m needs j > 2m/a and n <= b/m needs
+            # j <= (b/m + m)/a. x falls as j rises, so x >= lo gives
+            # j <= lo*m/(lo*a - b), which also keeps y <= max_den, since lo
+            # is at least the x of y = max_den. The loop ignores hi, so
+            # y >= y_floor is checked on each solution.
+            lo_excess = lo * a - b
+            for m in _divisors_between(b, factors, -(-b // max_den), math.isqrt(b - 1)):
+                q = b // m
+                for j in range(2 * m // a + 1, min((q + m) // a, lo * m // lo_excess) + 1):
+                    n = j * a - m
+                    if q % n == 0 and math.gcd(m, n) == 1 and j * q >= y_floor:
+                        best.offer(path + (j * b // n, j * q))
+            return
         if t == 3 and factors:
             p = max(factors)
             # with L = max_den // (p*p), the split needs 2*L < p and, when
@@ -411,6 +400,7 @@ class _Search:
                 if lo <= hi:
                     self.split(a, b, factors, p, path, lo)
                 return
+        node = self.node
         for d in range(lo, hi + 1):
             na, nb = a * d - b, b * d
             # The child's t-1 terms exceed d, so all but its last sum to at
@@ -428,10 +418,7 @@ class _Search:
                 na //= g
                 nb //= g
             child = None if factors is None else _child_factors(factors, d, g)
-            if t == 3:
-                _two_term_into(na, nb, child, d + 1, max_den, path + (d,), best)
-            else:
-                self.node(na, nb, child, path + (d,), t - 1, d + 1)
+            node(na, nb, child, path + (d,), t - 1, d + 1)
 
     def split(self, a: int, b: int, factors: dict[int, int], p: int, path: tuple[int, ...], d_min: int) -> None:
         # The three-term forms of a/b with terms of at least d_min > b/a,
@@ -455,14 +442,16 @@ class _Search:
         k_lo = -(-d_min // p)
         k0 = c * pow(a, -1, p) % p  # 1/k0 = a/c mod p
         # |S| = 1: S = {k} for each k = k0 mod p, and the rest is a
-        # two-term leaf free of p; x > b/a, so the rest is positive
+        # two-term leaf free of p; x > b/a, so the rest is positive. The
+        # leaf runs on this search, with _Merged standing in for the best.
         x = p * k0
         while x <= max_den:
             if x >= d_min:
                 na, nb = a * x - b, b * x
                 g = math.gcd(na, nb)
-                _two_term_into(na // g, nb // g, _child_factors(factors, x, g), d_min, max_den, (),
-                               _Merged(best, p, x, path))
+                self.best = _Merged(best, p, x, path)
+                self.node(na // g, nb // g, _child_factors(factors, x, g), (), 2, d_min)
+                self.best = best
             x += p * p
         # |S| = 2: k1 < k2 with 1/k2 = a/c - 1/k1 mod p, and the third term
         # 1/m is the rest. 1/(p*k1) < a/b, and 2/(p*k1) exceeds
@@ -499,16 +488,12 @@ def _best_k_term(a0: int, b0: int, k: int, policy: DecompositionPolicy, best: _B
     # feed every k-term distinct unit-fraction decomposition of a0/b0
     # (0 < a0 < b0 in lowest terms; all denominators <= max_denominator)
     # into the running best
-    max_den = policy.max_denominator
     if k == 1:
-        if a0 == 1 and b0 <= max_den:
+        if a0 == 1 and b0 <= policy.max_denominator:
             best.offer((b0,))
         return
     root_factors = _factorize_small(b0) if b0 <= 10**8 else None
-    if k == 2:
-        _two_term_into(a0, b0, root_factors, 2, max_den, (), best)
-        return
-    _Search(max_den, best).node(a0, b0, root_factors, (), k, 2)
+    _Search(policy.max_denominator, best).node(a0, b0, root_factors, (), k, 2)
 
 
 def _shortest(a: int, b: int, policy: DecompositionPolicy) -> tuple[bool, list[int]]:

@@ -242,8 +242,8 @@ def _cmd_seked(args) -> str:
     payload = {k: str(v) if v is not None else None for k, v in given.items()}
     payload[solved] = str(value)
     payload["parts"] = args.parts
-    seked_value = parse_rational(payload["seked"])
-    payload["cotangent"] = str(geometry.seked_cotangent(seked_value, args.parts))
+    seked = value if solved == "seked" else given["seked"]
+    payload["cotangent"] = str(geometry.seked_cotangent(seked, args.parts))
     return render(args.format, f"{solved} = {value}", payload)
 
 

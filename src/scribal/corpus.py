@@ -70,7 +70,7 @@ def _int(value: object, field: str, problem_id: str) -> int:
 
 def _terms(value: object, field: str, problem_id: str) -> list[Fraction]:
     """A rational or a list of rationals, summed by the compute."""
-    return [_rat(term, "term", problem_id) for term in (value if isinstance(value, list) else [value])]
+    return [_rat(term, field, problem_id) for term in (value if isinstance(value, list) else [value])]
 
 
 def _mode(value: object, field: str, problem_id: str) -> str:
@@ -198,7 +198,7 @@ def load_corpus(document: str) -> list[CorpusProblem]:
         answer_text = raw.get("scribal_answer")
         answer: Fraction | None = None
         if answer_text is not None:
-            if isinstance(answer_text, int):
+            if isinstance(answer_text, int) and not isinstance(answer_text, bool):
                 answer_text = str(answer_text)
             if not isinstance(answer_text, str):
                 raise CorpusFormatError(f"problem {pid!r}: 'scribal_answer' must be a string")

@@ -35,7 +35,6 @@ from scribal.arith import (
     _divisor_count_records,
     _factorize_small,
     _greedy_unit_denominators,
-    _two_term_into,
 )
 from scribal.rational import UnitFractionSum
 
@@ -353,8 +352,9 @@ def leaves(draw, xs=(2, 3000), max_y=20000, bs=(2, 10**6), planted_edges=False, 
 
 
 def leaf_forms(leaf, b_factors, *, reference=False, y_floor=0):
-    """Every form a leaf offers, and the path that ran: "scan", "pairs",
-    or None when the window is empty."""
+    """Every form the search's two-term level offers, and the path that
+    ran: "pairs" when it took the divisor pairs, else "scan", an empty
+    window included."""
     a, b, d_min, max_den = leaf
     offers = Offers()
     if reference:
@@ -362,9 +362,8 @@ def leaf_forms(leaf, b_factors, *, reference=False, y_floor=0):
         return sorted(offers.forms), None
     offers.y_floor = y_floor
     with mock.patch.object(arith, "_divisors_between", wraps=arith._divisors_between) as spy:
-        path = _two_term_into(a, b, b_factors, d_min, max_den, (7,), offers)
-    assert spy.called == (path == "pairs"), path
-    return sorted(offers.forms), path
+        _Search(max_den, offers).node(a, b, b_factors, (7,), 2, d_min)
+    return sorted(offers.forms), "pairs" if spy.called else "scan"
 
 
 class TestTwoTermLeafAgainstReference:
@@ -384,7 +383,7 @@ class TestTwoTermLeafAgainstReference:
     def test_scan_side(self, leaf):
         factors = _factorize_small(leaf[1])
         got, path = leaf_forms(leaf, factors)
-        assume(path in ("scan", None))
+        assume(path == "scan")
         assert got == leaf_forms(leaf, factors, reference=True)[0]
 
     @given(leaves(xs=(10**4, 3 * 10**4), max_y=4 * 10**4, bs=(10**8 + 1, 10**12)))
@@ -393,7 +392,7 @@ class TestTwoTermLeafAgainstReference:
         # past 10**8 the search carries no factorisation and always scans
         assume(leaf[1] > 10**8)
         got, path = leaf_forms(leaf, None)
-        assert path in ("scan", None)
+        assert path == "scan"
         assert got == leaf_forms(leaf, _factorize_small(leaf[1]), reference=True)[0]
 
     def test_window_edges(self):
@@ -467,13 +466,13 @@ class TestIncumbentFloor:
     @given(leaves(smooth=True), st.data())
     @settings(max_examples=300, deadline=None)
     def test_scan_side(self, leaf, data):
-        assume(floored(data, leaf, _factorize_small(leaf[1])) in ("scan", None))
+        assume(floored(data, leaf, _factorize_small(leaf[1])) == "scan")
 
     @given(leaves(xs=(10**4, 3 * 10**4), max_y=4 * 10**4, bs=(10**8 + 1, 10**12)), st.data())
     @settings(max_examples=60, deadline=None)
     def test_unfactored_denominator(self, leaf, data):
         assume(leaf[1] > 10**8)
-        assert floored(data, leaf, None) in ("scan", None)
+        assert floored(data, leaf, None) == "scan"
 
     def test_y_floor_matches_a_sieve(self):
         # for every divisor count T up to n = 20000, the floor is the
@@ -778,11 +777,11 @@ class TestThreeTermSplit:
             assert got == three_term_forms(node, reference=True)
 
     def test_square_of_the_prime_offers_nothing(self):
-        # 7/(2*101*101) passes the slack check, and no leaf runs
+        # 7/(2*101*101) passes the slack check, and no child is built
         node = (7, 2 * 101 * 101, 2, 10000)
-        with mock.patch.object(arith, "_two_term_into") as leaf:
+        with mock.patch.object(arith, "_child_factors", wraps=arith._child_factors) as child:
             assert three_term_forms(node) == []
-        leaf.assert_not_called()
+        child.assert_not_called()
         assert three_term_forms(node, reference=True) == []
 
 
@@ -1202,3 +1201,10 @@ class TestPolicy:
             DecompositionPolicy(max_terms=0)
         with pytest.raises(ValueError):
             DecompositionPolicy(max_denominator=1)
+        # a float or a bool bound would fail deep in the search, or pass
+        # silently under greedy, so each is refused up front
+        for field, value in [("max_terms", 2.5), ("max_terms", 3.0), ("max_terms", True),
+                             ("max_denominator", 10000.0), ("max_denominator", "10000")]:
+            kind = type(value).__name__
+            with pytest.raises(TypeError, match=f"^{field} must be an integer, got {kind}$"):
+                DecompositionPolicy(strategy=GREEDY, **{field: value})

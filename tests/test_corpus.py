@@ -75,6 +75,18 @@ class TestLoading:
         with pytest.raises(CorpusFormatError, match="x"):
             load_corpus(make_doc([bad]))
 
+    def test_bad_multiplier_term_names_the_field(self):
+        for term in ("1/0x", True):
+            bad = dict(HAU, id="x", inputs={"multiplier": ["1", term], "target": "19"})
+            with pytest.raises(CorpusFormatError, match="^problem 'x': field 'multiplier'"):
+                load_corpus(make_doc([bad]))
+
+    def test_boolean_answer_is_not_a_string(self):
+        # a JSON true is no integer answer, so it is not parsed as the text 'True'
+        bad = dict(HAU, id="x", scribal_answer=True)
+        with pytest.raises(CorpusFormatError, match="^problem 'x': 'scribal_answer' must be a string$"):
+            load_corpus(make_doc([bad]))
+
     def test_bad_json(self):
         with pytest.raises(CorpusFormatError, match="JSON"):
             load_corpus("{problems: [")
