@@ -302,16 +302,19 @@ def _child_factors(factors: dict[int, int], d: int, g: int) -> dict[int, int]:
 
 
 class _Merged:
-    """Stands in for the best in a two-term leaf: merges the term p*k into
-    each pair the leaf offers. A pair that holds a multiple of p is
+    """Stands in for the best in a two-term leaf: merges the term q*k into
+    each pair the leaf offers, where q = p**e is the power of the split's
+    prime p in its denominator. A pair that holds a multiple of q is
     dropped: its form belongs to a larger set of such terms, where the
-    split counts it, and it could repeat the term."""
+    split counts it, and it could repeat the term. A pair that holds a
+    lower power of p stays, since such a term's q/d vanishes mod p: it
+    is in no set, so the groups stay disjoint."""
 
-    __slots__ = ("best", "p", "term", "path", "y_floor")
+    __slots__ = ("best", "q", "term", "path", "y_floor")
 
-    def __init__(self, best: _BestCandidate, p: int, term: int, path: tuple[int, ...]):
+    def __init__(self, best: _BestCandidate, q: int, term: int, path: tuple[int, ...]):
         self.best = best
-        self.p = p
+        self.q = q
         self.term = term
         self.path = path
         # the merged form's largest is the leaf's y or the term, so the
@@ -320,8 +323,8 @@ class _Merged:
 
     def offer(self, pair: tuple[int, ...]) -> None:
         x, y = pair
-        p, term = self.p, self.term
-        if x % p and y % p:
+        q, term = self.q, self.term
+        if x % q and y % q:
             if term < x:
                 dens = (term, x, y)
             elif term < y:
@@ -329,6 +332,17 @@ class _Merged:
             else:
                 dens = (x, y, term)
             self.best.offer(self.path + dens)
+
+
+# A two-term leaf with hi - lo below this scans its window without reading
+# its denominator's factors; a wider one takes Rav's divisor pairs when
+# the window holds over 4 times the denominator's divisor count. Over the
+# table and default-policy ops of the search benchmark's seed-0 and
+# seed-71 passes (best of 21 in one process, 2-vCPU Xeon VM), the divisor
+# count test alone summed to 41.6 and 42.8 ms, and 16, 32, 64 and 128
+# to 36.8, 36.7, 35.4 and 34.1 ms (seed 0) and 37.2, 36.8, 36.5 and
+# 35.2 ms (seed 71).
+_SCAN_WIDTH = 64
 
 
 class _Search:
@@ -344,9 +358,21 @@ class _Search:
         self.max_den = max_den
         self.best = best
 
-    def node(self, a: int, b: int, factors: dict[int, int] | None, path: tuple[int, ...], t: int, d_min: int) -> None:
-        # every t-term form of a/b (lowest terms, t >= 2; factors its
-        # denominator's, None past 10**8) with terms of at least d_min
+    def node(
+        self,
+        a: int,
+        b: int,
+        factors: dict[int, int] | None,
+        path: tuple[int, ...],
+        t: int,
+        d_min: int,
+        d: int = 0,
+        g: int = 1,
+    ) -> None:
+        # every t-term form of a/b (lowest terms, t >= 2) with terms of at
+        # least d_min. factors are its denominator's, None past 10**8; or,
+        # when the parent passes its term d > 0, those of the parent's
+        # b*g/d, which the node turns into its own only when it reads them.
         max_den, best = self.max_den, self.best
         hi = min(max_den, t * b // a)
         # lift lo past the provably dead region: the child's t - 1 terms
@@ -365,40 +391,69 @@ class _Search:
                 hi = min(hi, b * y_floor // (a * y_floor - b))
             if lo > hi:
                 return
-            if factors is None or hi - lo + 1 <= 4 * math.prod(e + 1 for e in factors.values()):
-                # x = (e + b)/a and y = (b*b/e + b)/a, so step e = a*x - b
-                # through the window and keep the divisors of b*b
-                bb = b * b
-                for e in range(a * lo - b, a * hi - b + 1, a):
-                    if bb % e == 0:
-                        # e = -b mod a and gcd(a, b) = 1, so bb/e = -b mod a too
-                        x, y = (e + b) // a, (bb // e + b) // a
-                        if x < y <= max_den:
-                            best.offer(path + (x, y))
-                return
-            # Every solution is x = j*b/n, y = j*b/m for coprime m < n with
-            # m*n | b and m + n = j*a (Rav). So m*m < b, y <= max_den needs
-            # m >= b/max_den, n > m needs j > 2m/a and n <= b/m needs
-            # j <= (b/m + m)/a. x falls as j rises, so x >= lo gives
-            # j <= lo*m/(lo*a - b), which also keeps y <= max_den, since lo
-            # is at least the x of y = max_den. The loop ignores hi, so
-            # y >= y_floor is checked on each solution.
-            lo_excess = lo * a - b
-            for m in _divisors_between(b, factors, -(-b // max_den), math.isqrt(b - 1)):
-                q = b // m
-                for j in range(2 * m // a + 1, min((q + m) // a, lo * m // lo_excess) + 1):
-                    n = j * a - m
-                    if q % n == 0 and math.gcd(m, n) == 1 and j * q >= y_floor:
-                        best.offer(path + (j * b // n, j * q))
+            if factors is not None and hi - lo >= _SCAN_WIDTH:
+                if d:
+                    factors = _child_factors(factors, d, g)
+                if hi - lo + 1 > 4 * math.prod(e + 1 for e in factors.values()):
+                    # Every solution is x = j*b/n, y = j*b/m for coprime
+                    # m < n with m*n | b and m + n = j*a (Rav). So m*m < b,
+                    # y <= max_den needs m >= b/max_den, n > m needs
+                    # j > 2m/a and n <= b/m needs j <= (b/m + m)/a. x falls
+                    # as j rises, so x >= lo gives j <= lo*m/(lo*a - b),
+                    # which also keeps y <= max_den, since lo is at least
+                    # the x of y = max_den. The loop ignores hi, so
+                    # y >= y_floor is checked on each solution.
+                    lo_excess = lo * a - b
+                    for m in _divisors_between(b, factors, -(-b // max_den), math.isqrt(b - 1)):
+                        q = b // m
+                        for j in range(2 * m // a + 1, min((q + m) // a, lo * m // lo_excess) + 1):
+                            n = j * a - m
+                            if q % n == 0 and math.gcd(m, n) == 1 and j * q >= y_floor:
+                                best.offer(path + (j * b // n, j * q))
+                    return
+            # x = (e + b)/a and y = (b*b/e + b)/a, so step e = a*x - b
+            # through the window and keep the divisors of b*b
+            bb = b * b
+            for e in range(a * lo - b, a * hi - b + 1, a):
+                if bb % e == 0:
+                    # e = -b mod a and gcd(a, b) = 1, so bb/e = -b mod a too
+                    x, y = (e + b) // a, (bb // e + b) // a
+                    if x < y <= max_den:
+                        best.offer(path + (x, y))
             return
+        if lo > hi:
+            return
+        if d and factors is not None:
+            factors = _child_factors(factors, d, g)
         if t == 3 and factors:
+            # Split on a prime p of b, where q = p**e divides b exactly and
+            # L = max_den // (p*q), when L = 0, or when e = 1, L <= 2 and
+            # 2*L < p: past that it tries too many k to pay. Of the primes
+            # that qualify take the largest q, whose K = max_den // q is the
+            # least. Of the primes that divide b once, the largest has the
+            # least L and K, so it alone is tested. A repeated prime's
+            # r**e is at most h*h, with h = b // rad(b) the product of the
+            # r**(e-1), so the loop over them runs only when h*h exceeds
+            # the q in hand: looping on every b with a repeated prime cost
+            # 8-11% on 5/1993, 5/922 and 7/997. (A smaller prime that
+            # divides b once can qualify beside a repeated largest prime
+            # only when max_den < 27.) b divides the lcm of the terms, so a
+            # q past max_den, which no term holds, leaves no form.
             p = max(factors)
-            # with L = max_den // (p*p), the split needs 2*L < p and, when
-            # L > 0, p to divide b once; past L = 2 it tries too many k to pay
-            if p * p > max_den or (max_den < 3 * p * p and 2 * (max_den // (p * p)) < p and factors[p] == 1):
+            L = max_den // (p * p)
+            q = p if factors[p] == 1 and (not L or L <= 2 and 2 * L < p) else 0
+            h = b // math.prod(factors)
+            if h > 1 and h * h > q:
+                for r, e in factors.items():
+                    if e > 1:
+                        s = r**e
+                        if s > max_den:
+                            return
+                        if r * s > max_den and s > q:
+                            p, q = r, s
+            if q:
                 # every term is at least lo, the smallest term's bound
-                if lo <= hi:
-                    self.split(a, b, factors, p, path, lo)
+                self.split(a, b, factors, p, q, path, lo)
                 return
         node = self.node
         for d in range(lo, hi + 1):
@@ -417,48 +472,51 @@ class _Search:
             if g > 1:
                 na //= g
                 nb //= g
-            child = None if factors is None else _child_factors(factors, d, g)
-            node(na, nb, child, path + (d,), t - 1, d + 1)
+            node(na, nb, factors, path + (d,), t - 1, d + 1, d, g)
 
-    def split(self, a: int, b: int, factors: dict[int, int], p: int, path: tuple[int, ...], d_min: int) -> None:
+    def split(
+        self, a: int, b: int, factors: dict[int, int], p: int, q: int, path: tuple[int, ...], d_min: int
+    ) -> None:
         # The three-term forms of a/b with terms of at least d_min > b/a,
-        # where b's largest prime p has L = max_den // (p*p) with 2*L < p,
-        # and p*p divides b only when L = 0. b divides the lcm of the
-        # terms, so p*p | b then leaves none: no term up to max_den holds
-        # p*p. Otherwise, with b = p*c, the terms that p divides are p*k
-        # with k <= K = max_den // p, and their 1/k sum to a/c mod p. Each
-        # form has one such set S of k, so the forms fall into disjoint
-        # groups by |S|. A k that p divides is p*j with j <= L < p, and its
-        # 1/k has p in the denominator: alone nothing cancels it, and two
-        # such k need j1 + j2 = 0 mod p, more than 2*L. So a set of one or
-        # two k holds no multiple of p, nor does the third term beside a
-        # pair, and the residues of its k mod p fix them up to a step of p,
-        # at most L + 1 values each.
-        if factors[p] > 1:
-            return
+        # where q = p**e <= max_den divides b exactly and L =
+        # max_den // (p*q) is 0, or e = 1, L <= 2 and 2*L < p. With
+        # b = q*c, the terms that q divides are q*k with k <= K =
+        # max_den // q. Multiply a/b = 1/x + 1/y + 1/z by q: a term that
+        # holds a lower power of p, or none, gives a q/x that vanishes mod
+        # p, so the 1/k of the terms q*k sum to a/c mod p. Each form has
+        # one such set S of k, so the forms fall into disjoint groups by
+        # |S|, and a term holding a lower power of p belongs to no set.
+        # When L = 0, p*q > max_den: no term holds more of p than b, and
+        # every k < p. When L > 0, q = p and a k that p divides is p*j
+        # with j <= L < p, and its 1/k has p in the denominator: alone
+        # nothing cancels it, and two such k need j1 + j2 = 0 mod p, more
+        # than 2*L. So a set of one or two k holds no multiple of p, nor
+        # does the third term beside a pair, and the residues of its k
+        # mod p fix them up to a step of p, at most L + 1 values each.
         max_den, best = self.max_den, self.best
-        c = b // p
-        K = max_den // p
-        k_lo = -(-d_min // p)
+        c = b // q
+        K = max_den // q
+        k_lo = -(-d_min // q)
         k0 = c * pow(a, -1, p) % p  # 1/k0 = a/c mod p
         # |S| = 1: S = {k} for each k = k0 mod p, and the rest is a
-        # two-term leaf free of p; x > b/a, so the rest is positive. The
-        # leaf runs on this search, with _Merged standing in for the best.
-        x = p * k0
+        # two-term leaf free of multiples of q; x > b/a, so the rest is
+        # positive. The leaf runs on this search, with _Merged standing in
+        # for the best.
+        x = q * k0
         while x <= max_den:
             if x >= d_min:
                 na, nb = a * x - b, b * x
                 g = math.gcd(na, nb)
-                self.best = _Merged(best, p, x, path)
-                self.node(na // g, nb // g, _child_factors(factors, x, g), (), 2, d_min)
+                self.best = _Merged(best, q, x, path)
+                self.node(na // g, nb // g, factors, (), 2, d_min, x, g)
                 self.best = best
-            x += p * p
+            x += p * q
         # |S| = 2: k1 < k2 with 1/k2 = a/c - 1/k1 mod p, and the third term
-        # 1/m is the rest. 1/(p*k1) < a/b, and 2/(p*k1) exceeds
-        # 1/(p*k1) + 1/(p*k2) = a/b - 1/m >= a/b - 1/d_min.
-        hi = min(K - 1, 2 * b * d_min // (p * (a * d_min - b)))
+        # 1/m is the rest. 1/(q*k1) < a/b, and 2/(q*k1) exceeds
+        # 1/(q*k1) + 1/(q*k2) = a/b - 1/m >= a/b - 1/d_min.
+        hi = min(K - 1, 2 * b * d_min // (q * (a * d_min - b)))
         for k1 in range(max(k_lo, c // a + 1), hi + 1):
-            e = a * k1 - c  # a/b - 1/(p*k1) = e/(b*k1)
+            e = a * k1 - c  # a/b - 1/(q*k1) = e/(b*k1)
             if e % p == 0:
                 continue
             # every k2 > k1 in its residue class; a k1 that p divides puts
@@ -469,7 +527,7 @@ class _Search:
                 if k2 > k1 and n > 0:
                     m, r = divmod(b * k1 * k2, n)
                     if not r and d_min <= m <= max_den:
-                        x, y = p * k1, p * k2
+                        x, y = q * k1, q * k2
                         dens = (m, x, y) if m < x else (x, m, y) if m < y else (x, y, m)
                         if dens[-1] >= best.y_floor:
                             best.offer(path + dens)
@@ -480,8 +538,8 @@ class _Search:
             for k2 in range(max(k1 + 1, f // e + 1), min(K, 2 * f // e) + 1):
                 n = e * k2 - f
                 k3, r = divmod(f * k2, n)
-                if not r and k2 < k3 <= K and p * k3 >= best.y_floor:
-                    best.offer(path + (p * k1, p * k2, p * k3))
+                if not r and k2 < k3 <= K and q * k3 >= best.y_floor:
+                    best.offer(path + (q * k1, q * k2, q * k3))
 
 
 def _best_k_term(a0: int, b0: int, k: int, policy: DecompositionPolicy, best: _BestCandidate) -> None:

@@ -724,15 +724,20 @@ def three_term_forms(node, *, reference=False, y_floor=0):
 
 
 def takes_the_split(node):
-    factors = _factorize_small(node[1])
-    p = max(factors)
-    L = node[3] // (p * p)
-    return L <= 2 and 2 * L < p and (not L or factors[p] == 1)
+    """Whether the three-term level splits, or ends at once: some prime p
+    of b, with q = p**e dividing b exactly and L = max_den // (p*q), has
+    L = 0, or e = 1, L <= 2 and 2*L < p."""
+    max_den = node[3]
+    for p, e in _factorize_small(node[1]).items():
+        L = max_den // p ** (e + 1)
+        if not L or e == 1 and L <= 2 and 2 * L < p:
+            return True
+    return False
 
 
 class TestThreeTermSplit:
-    # A three-term level whose denominator's largest prime p has p*p >
-    # max_den, or divides it once with L = max_den // (p*p) <= 2 and
+    # A three-term level whose denominator has a prime p with p*p >
+    # max_den, or dividing it once with L = max_den // (p*p) <= 2 and
     # 2*L < p, is solved by the set of its terms that p divides, and offers
     # exactly the reference level's forms that reach the incumbent's
     # y_floor, each once.
@@ -767,10 +772,10 @@ class TestThreeTermSplit:
         # j1 + j2 = 3 = 0 mod p, so they stand in the sets {3, 6} of
         # 5/12 = 1/4 + 1/9 + 1/18 and {3, 6, 8} of 5/24 = 1/9 + 1/18 +
         # 1/24, which the split's pairs would offer a second time. In
-        # 89339/260470 = 1/5 + 1/7 + 1/7442, 260470 = 2*5*7*61*61 with
-        # 61*61 <= 10000, and a term holds 61*61.
+        # 103/300 = 1/3 + 1/125 + 1/500, 300 = 2*2*3*5*5 with 5*5*5 <= 500,
+        # and two terms hold 5*5*5, more of 5 than 300 holds.
         for node, form in [((5, 12, 2, 18), (7, 4, 9, 18)), ((5, 24, 2, 24), (7, 9, 18, 24)),
-                           ((89339, 260470, 2, 10000), (7, 5, 7, 7442))]:
+                           ((103, 300, 2, 500), (7, 3, 125, 500))]:
             assert not takes_the_split(node)
             got = three_term_forms(node)
             assert form in got
@@ -783,6 +788,158 @@ class TestThreeTermSplit:
             assert three_term_forms(node) == []
         child.assert_not_called()
         assert three_term_forms(node, reference=True) == []
+
+    def test_narrow_leaves_build_no_factors(self):
+        # Every leaf of 3/20 at max_den = 200 has hi - lo <= 30, so each
+        # scans without its denominator's factors; at max_den = 500 one of
+        # its 13 leaves has hi - lo = 85 and builds them, once.
+        assert 30 < arith._SCAN_WIDTH <= 85
+        for node, calls in [((3, 20, 2, 200), 0), ((3, 20, 2, 500), 1)]:
+            with mock.patch.object(arith, "_child_factors", wraps=arith._child_factors) as child:
+                got = three_term_forms(node)
+            assert child.call_count == calls, node
+            assert got and got == three_term_forms(node, reference=True)
+
+
+# (p, e) with e >= 2 and q = p**e <= 10000
+PRIME_POWERS = tuple((p, e) for p in range(2, 101) if all(p % r for r in range(2, math.isqrt(p) + 1))
+                     for e in range(2, 14) if p**e <= 10000)
+
+
+@st.composite
+def prime_power_nodes(draw):
+    """(a, b, d_min, max_den) for a three-term level whose denominator
+    mostly holds q = p**e exactly, e >= 2, with q <= max_den < p*q, so
+    K = max_den // q < p; max_den stays below 20000.
+
+    Mostly a/b = 1/x + 1/y + 1/z with one, two or three of the terms
+    multiples q*k; each other term is a multiple of a lower power of p
+    in one draw in two, else any value, and is kept off the multiples of
+    q, below the smallest q*k in one draw in two. d_min sits on, next to
+    or away from the smallest term and each q*k, and below the largest
+    term the level may take. In one draw in six a
+    plain a/b with b = q*m for m < 23, where a multiple m of p puts a
+    power of p past max_den in b, which leaves no form.
+    """
+    p, e = draw(st.sampled_from(PRIME_POWERS))
+    q = p**e
+    top = min(p * q - 1, 19999)
+    max_den = draw(st.sampled_from([q, top]) | st.integers(q, top))
+    K = max_den // q
+    if draw(st.integers(0, 5)) == 0:
+        b = q * draw(st.integers(1, 22))
+        a = draw(st.integers(-(-2 * b // max_den), 6 * b // max_den + 6))
+        while math.gcd(a, b) > 1:
+            a += 1
+        value = F(a, b)
+        edges = [2]
+    else:
+        size = draw(st.integers(1, min(3, K)))
+        ks = draw(st.lists(st.integers(1, K), min_size=size, max_size=size, unique=True))
+        multiples = [q * k for k in ks]
+        top = min(multiples) - 1 if draw(st.booleans()) else max_den
+        others = []
+        for _ in range(3 - size):
+            f = draw(st.integers(1, e - 1))
+            if p**f <= top and draw(st.booleans()):
+                x = p**f * draw(st.integers(1, top // p**f))
+                others.append(x - p**f if x % q == 0 else x)
+            else:
+                x = draw(st.integers(2, max(top, 2)))
+                others.append(x - 1 if x % q == 0 else x)
+        terms = sorted(multiples + others)
+        assume(len(set(terms)) == 3 and terms[0] >= 2)
+        value = sum(F(1, t) for t in terms)
+        edges = [terms[0] + e for e in (-1, 0, 1)] + [x + e for x in multiples for e in (-1, 0, 1)]
+    # no term exceeds 3*b/a
+    d_min = draw(st.sampled_from(edges) | st.integers(2, max(2, min(max_den, int(3 / value)))))
+    return value.numerator, value.denominator, max(d_min, 2), max_den
+
+
+class TestPrimePowerSplit:
+    # A three-term level whose denominator holds q = p**e exactly with
+    # q <= max_den < p*q is solved by the set of its terms that q divides,
+    # while the terms holding a lower power of p stay in the leaves, and
+    # offers exactly the reference level's forms that reach the
+    # incumbent's y_floor, each once. A q past max_den leaves no form.
+    @given(prime_power_nodes(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_planted_forms(self, node, data):
+        assume(takes_the_split(node))
+        forms = three_term_forms(node, reference=True)
+        y_floor = draw_floor(data, forms, node[3])
+        got = three_term_forms(node, y_floor=y_floor)
+        assert got == [form for form in forms if form[-1] >= y_floor], y_floor
+
+    def test_fixed_nodes(self):
+        # 89339/260470 = 1/5 + 1/7 + 1/7442 with 260470 = 2*5*7*61*61 and
+        # 61**3 > 10000, where 7442 = 2*61*61 holds q; 1/841, the rest of
+        # 2/841 after 1/841, is 1/1682 + 1/2523 + 1/5046, three multiples
+        # of q = 29*29; 1/10 + 1/11 + 1/7203 with 7203 = 3*7**4 beside
+        # terms free of 7, and 1/49 + 1/686 + 1/2401 with the lower powers
+        # 7*7 and 2*7**3 beside q = 7**4.
+        for node, form in [((89339, 260470, 2, 10000), (7, 5, 7, 7442)),
+                           ((1, 841, 842, 10000), (7, 1682, 2523, 5046)),
+                           ((151373, 792330, 2, 10000), (7, 10, 11, 7203)),
+                           ((107, 4802, 2, 10000), (7, 49, 686, 2401))]:
+            assert takes_the_split(node), node
+            got = three_term_forms(node)
+            assert form in got and len(set(got)) == len(got), node
+            assert got == three_term_forms(node, reference=True), node
+
+    def test_one_member_sets_step_by_p_times_q(self):
+        # The sets of one k run one leaf per k = k0 mod p. For q = 7**4 in
+        # 151373/792330, K = 4 < 7 holds k0 = 3 alone: the term 7203. In
+        # 1/10 + 1/20 + 1/4331 = 13013/(2*2*5*61*71), the split takes the
+        # larger prime, p = q = 71 with K = 140 > p, and k0 = 61: the terms
+        # 71*61 and 71*132.
+        for node, terms in [((151373, 792330, 2, 10000), [7203]),
+                            ((13013, 86620, 2, 10000), [4331, 9372])]:
+            with mock.patch.object(arith, "_Merged", wraps=arith._Merged) as merged:
+                three_term_forms(node)
+            assert [call.args[2] for call in merged.call_args_list] == terms, node
+
+    def test_power_past_max_den_offers_nothing(self):
+        # 17**4 = 83521 > 10000 divides 3/(2*17**4): no term holds it
+        node = (3, 2 * 17**4, 2, 10000)
+        with mock.patch.object(arith, "_Merged", wraps=arith._Merged) as merged:
+            assert three_term_forms(node) == []
+        merged.assert_not_called()
+        assert three_term_forms(node, reference=True) == []
+
+    def test_golden_table_rows(self):
+        # the rows 2/n for odd n = 301..999, recorded before the split
+        # reached prime powers such as 841 = 29*29 and 961 = 31*31
+        rows = GOLDEN["prime_power"]["table"]
+        assert list(rows) == [str(n) for n in range(301, 1000, 2)]
+        assert {n: decompose(F(2, int(n)), TABLE_POLICY).render() for n in rows} == rows
+
+    def test_golden_draws(self):
+        # the seeded values a/b with b = p**e * s and p**(e+1) > max_den of
+        # tests/record_decompose_golden.py, each under its recorded policy
+        draws = GOLDEN["prime_power"]["draws"]
+        assert len(draws) == 200
+        mismatches = []
+        for value, max_terms, max_den, two_thirds, recorded in draws:
+            policy = DecompositionPolicy(max_terms=max_terms, max_denominator=max_den, allow_two_thirds=two_thirds)
+            try:
+                u = decompose(F(value), policy)
+            except BoundsExceededError:
+                got = "BoundsExceededError"
+            else:
+                got = u.render()
+                assert u.value() == F(value)
+            if got != recorded:
+                mismatches.append((value, policy, recorded, got))
+        assert mismatches == []
+
+    def test_named_values(self):
+        # each took seconds before the split reached prime powers
+        assert decompose(F(2, 841), TABLE_POLICY).render() == "1/841 + 1/1682 + 1/2523 + 1/5046"
+        assert decompose(F(2, 961)).render() == "1/558 + 1/5766 + 1/8649"
+        for value in (F(25, 4913), F(22, 3481)):
+            with pytest.raises(BoundsExceededError):
+                decompose(value)
 
 
 def reference_greedy(f):
