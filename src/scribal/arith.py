@@ -339,9 +339,9 @@ class _Merged:
 # the window holds over 4 times the denominator's divisor count. Over the
 # table and default-policy ops of the search benchmark's seed-0 and
 # seed-71 passes (best of 21 in one process, 2-vCPU Xeon VM), the divisor
-# count test alone summed to 41.6 and 42.8 ms, and 16, 32, 64 and 128
-# to 36.8, 36.7, 35.4 and 34.1 ms (seed 0) and 37.2, 36.8, 36.5 and
-# 35.2 ms (seed 71).
+# count test alone summed to 46.9 and 44.4 ms, and 16, 32, 64 and 128
+# to 41.7, 41.2, 39.4 and 38.0 ms (seed 0) and 39.7, 38.6, 37.5 and
+# 36.4 ms (seed 71).
 _SCAN_WIDTH = 64
 
 
