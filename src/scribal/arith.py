@@ -334,15 +334,13 @@ class _Merged:
             self.best.offer(self.path + dens)
 
 
-# A two-term leaf with hi - lo below this scans its window without reading
-# its denominator's factors; a wider one takes Rav's divisor pairs when
-# the window holds over 4 times the denominator's divisor count. Over the
-# table and default-policy ops of the search benchmark's seed-0 and
-# seed-71 passes (best of 21 in one process, 2-vCPU Xeon VM), the divisor
-# count test alone summed to 46.9 and 44.4 ms, and 16, 32, 64 and 128
-# to 41.7, 41.2, 39.4 and 38.0 ms (seed 0) and 39.7, 38.6, 37.5 and
-# 36.4 ms (seed 71).
-_SCAN_WIDTH = 64
+# A two-term leaf takes Rav's divisor pairs when it has its denominator's
+# factors and hi - lo is at least this, and scans its window otherwise.
+# Over the table and default-policy ops of the search benchmark's seed-0
+# and seed-71 passes (best of 21 in one process, 2-vCPU Xeon VM), 64,
+# 128, 256, 384, 512 and 1024 summed to 51.0, 48.3, 47.3, 47.2, 47.6 and
+# 48.7 ms (seed 0) and 48.9, 45.3, 44.7, 44.5, 45.9 and 48.4 ms (seed 71).
+_SCAN_WIDTH = 256
 
 
 class _Search:
@@ -394,23 +392,22 @@ class _Search:
             if factors is not None and hi - lo >= _SCAN_WIDTH:
                 if d:
                     factors = _child_factors(factors, d, g)
-                if hi - lo + 1 > 4 * math.prod(e + 1 for e in factors.values()):
-                    # Every solution is x = j*b/n, y = j*b/m for coprime
-                    # m < n with m*n | b and m + n = j*a (Rav). So m*m < b,
-                    # y <= max_den needs m >= b/max_den, n > m needs
-                    # j > 2m/a and n <= b/m needs j <= (b/m + m)/a. x falls
-                    # as j rises, so x >= lo gives j <= lo*m/(lo*a - b),
-                    # which also keeps y <= max_den, since lo is at least
-                    # the x of y = max_den. The loop ignores hi, so
-                    # y >= y_floor is checked on each solution.
-                    lo_excess = lo * a - b
-                    for m in _divisors_between(b, factors, -(-b // max_den), math.isqrt(b - 1)):
-                        q = b // m
-                        for j in range(2 * m // a + 1, min((q + m) // a, lo * m // lo_excess) + 1):
-                            n = j * a - m
-                            if q % n == 0 and math.gcd(m, n) == 1 and j * q >= y_floor:
-                                best.offer(path + (j * b // n, j * q))
-                    return
+                # Every solution is x = j*b/n, y = j*b/m for coprime m < n
+                # with m*n | b and m + n = j*a (Rav). So m*m < b, y <=
+                # max_den needs m >= b/max_den, n > m needs j > 2m/a and
+                # n <= b/m needs j <= (b/m + m)/a. x falls as j rises, so
+                # x >= lo gives j <= lo*m/(lo*a - b), which also keeps y <=
+                # max_den, since lo is at least the x of y = max_den. The
+                # loop ignores hi, so y >= y_floor is checked on each
+                # solution.
+                lo_excess = lo * a - b
+                for m in _divisors_between(b, factors, -(-b // max_den), math.isqrt(b - 1)):
+                    q = b // m
+                    for j in range(2 * m // a + 1, min((q + m) // a, lo * m // lo_excess) + 1):
+                        n = j * a - m
+                        if q % n == 0 and math.gcd(m, n) == 1 and j * q >= y_floor:
+                            best.offer(path + (j * b // n, j * q))
+                return
             # x = (e + b)/a and y = (b*b/e + b)/a, so step e = a*x - b
             # through the window and keep the divisors of b*b
             bb = b * b
@@ -425,33 +422,26 @@ class _Search:
             return
         if d and factors is not None:
             factors = _child_factors(factors, d, g)
-        if t == 3 and factors:
-            # Split on a prime p of b, where q = p**e divides b exactly and
-            # L = max_den // (p*q), when L = 0, or when e = 1, L <= 2 and
-            # 2*L < p: past that it tries too many k to pay. Of the primes
-            # that qualify take the largest q, whose K = max_den // q is the
-            # least. Of the primes that divide b once, the largest has the
-            # least L and K, so it alone is tested. A repeated prime's
-            # r**e is at most h*h, with h = b // rad(b) the product of the
-            # r**(e-1), so the loop over them runs only when h*h exceeds
-            # the q in hand: looping on every b with a repeated prime cost
-            # 8-11% on 5/1993, 5/922 and 7/997. (A smaller prime that
-            # divides b once can qualify beside a repeated largest prime
-            # only when max_den < 27.) b divides the lcm of the terms, so a
-            # q past max_den, which no term holds, leaves no form.
-            p = max(factors)
-            L = max_den // (p * p)
-            q = p if factors[p] == 1 and (not L or L <= 2 and 2 * L < p) else 0
-            h = b // math.prod(factors)
-            if h > 1 and h * h > q:
-                for r, e in factors.items():
-                    if e > 1:
-                        s = r**e
-                        if s > max_den:
-                            return
-                        if r * s > max_den and s > q:
-                            p, q = r, s
-            if q:
+        if factors:
+            # b divides the lcm of the terms, so a prime power r**e of b
+            # past max_den, which no term holds, leaves no form. A prime r
+            # with s = r**e dividing b exactly and L = max_den // (r*s)
+            # splits a three-term node when L = 0, or when e = 1, L <= 2
+            # and 2*L < r: past that it tries too many k to pay. Of the
+            # primes that qualify take the largest s, whose K =
+            # max_den // s is the least. Testing every prime at every such
+            # node costs 5/1993, 5/922 and 7/997 under 1% (median of 41
+            # paired in-process runs, 2-vCPU Xeon VM), and ends
+            # 1671/(2*17**4) at its root in 0.03 ms.
+            q = 0
+            for r, e in factors.items():
+                s = r**e
+                if s > max_den:
+                    return
+                L = max_den // (r * s)
+                if s > q and (not L or e == 1 and L <= 2 and 2 * L < r):
+                    p, q = r, s
+            if q and t == 3:
                 # every term is at least lo, the smallest term's bound
                 self.split(a, b, factors, p, q, path, lo)
                 return

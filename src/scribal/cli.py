@@ -181,9 +181,16 @@ def _parse_coords(text: str) -> list[tuple[Fraction, Fraction]]:
     return points
 
 
+# Each random figure takes some 100 us, so --random is capped: 10**4
+# figures take about 1 s.
+EDFU_MAX_RANDOM = 10**4
+
+
 def _cmd_edfu(args) -> str:
     if args.random < 0:
         raise ValueError(f"--random takes a count N >= 0, got {args.random}")
+    if args.random > EDFU_MAX_RANDOM:
+        raise ValueError(f"--random takes a count N <= {EDFU_MAX_RANDOM}, got {args.random}")
     if args.random:
         rng = Random(args.seed)
         worst = None

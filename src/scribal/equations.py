@@ -89,6 +89,11 @@ def solve_hau_false_position(
     return answer, FalsePositionTrace(guess, trial, factor, answer)
 
 
+# The shares are built whole, some 10 us each, so their count is capped:
+# 10**4 shares take about 0.1 s.
+SHARES_MAX_COUNT = 10**4
+
+
 def arithmetic_shares(
     term_count: int, total: Fraction | int, common_difference: Fraction | int
 ) -> list[Fraction]:
@@ -96,8 +101,11 @@ def arithmetic_shares(
 
     Shares are returned smallest first and re-sum to the total exactly;
     a large difference can push early shares negative, which is left to
-    the caller to accept or reject.
+    the caller to accept or reject. More than ``SHARES_MAX_COUNT`` shares
+    are refused before any is built.
     """
+    if term_count > SHARES_MAX_COUNT:
+        raise ValueError(f"share count must be at most {SHARES_MAX_COUNT}, got {term_count}")
     first = smallest_share(term_count, total, common_difference)
     diff = as_rational(common_difference)
     return [first + i * diff for i in range(term_count)]

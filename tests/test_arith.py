@@ -790,11 +790,11 @@ class TestThreeTermSplit:
         assert three_term_forms(node, reference=True) == []
 
     def test_narrow_leaves_build_no_factors(self):
-        # Every leaf of 3/20 at max_den = 200 has hi - lo <= 30, so each
-        # scans without its denominator's factors; at max_den = 500 one of
-        # its 13 leaves has hi - lo = 85 and builds them, once.
-        assert 30 < arith._SCAN_WIDTH <= 85
-        for node, calls in [((3, 20, 2, 200), 0), ((3, 20, 2, 500), 1)]:
+        # Every leaf of 2/25 at max_den = 1000 has hi - lo <= 168, so each
+        # scans without its denominator's factors; at max_den = 2000 one of
+        # its 24 leaves has hi - lo = 261 and builds them, once.
+        assert 168 < arith._SCAN_WIDTH <= 261
+        for node, calls in [((2, 25, 2, 1000), 0), ((2, 25, 2, 2000), 1)]:
             with mock.patch.object(arith, "_child_factors", wraps=arith._child_factors) as child:
                 got = three_term_forms(node)
             assert child.call_count == calls, node
@@ -906,6 +906,27 @@ class TestPrimePowerSplit:
             assert three_term_forms(node) == []
         merged.assert_not_called()
         assert three_term_forms(node, reference=True) == []
+
+    def test_power_past_max_den_ends_every_search_at_its_root(self):
+        # 1671/167042 = 1671/(2*17**4): the four-term root, like the
+        # three-term one, ends before it builds a child's factors
+        with mock.patch.object(arith, "_child_factors", wraps=arith._child_factors) as child:
+            with pytest.raises(BoundsExceededError):
+                decompose(F(1671, 167042))
+        child.assert_not_called()
+
+    def test_largest_qualifying_power_splits(self):
+        # 454997/50964600 = 1/120 + 1/2523 + 1/5050, where b holds 101 once
+        # and 29*29: both have L = 0, and the split takes the larger q =
+        # 841, whose one-member sets hold the single term 2523 = 3*841
+        v = F(1, 120) + F(1, 2523) + F(1, 5050)
+        node = (v.numerator, v.denominator, 2, 10000)
+        assert (v.numerator, v.denominator) == (454997, 50964600)
+        with mock.patch.object(arith, "_Merged", wraps=arith._Merged) as merged:
+            got = three_term_forms(node)
+        assert [call.args[1:3] for call in merged.call_args_list] == [(841, 2523)]
+        assert (7, 120, 2523, 5050) in got
+        assert got == three_term_forms(node, reference=True)
 
     def test_golden_table_rows(self):
         # the rows 2/n for odd n = 301..999, recorded before the split

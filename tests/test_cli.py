@@ -160,6 +160,25 @@ class TestGeometryCommands:
         code, out, err = run(capsys, "edfu", "--random", "-3")
         assert (code, out, err) == (1, "", "scribal: --random takes a count N >= 0, got -3\n")
 
+    def test_edfu_random_over_cap_rejected(self, capsys, monkeypatch):
+        def unused(*args):
+            raise AssertionError("figure built")
+
+        monkeypatch.setattr(geometry, "random_convex_quadrilateral", unused)
+        code, out, err = run(capsys, "edfu", "--random", str(cli.EDFU_MAX_RANDOM + 1))
+        assert (code, out) == (1, "")
+        assert err == "scribal: --random takes a count N <= 10000, got 10001\n"
+
+    def test_shares_over_cap_rejected(self, capsys, monkeypatch):
+        def unused(*args):
+            raise AssertionError("share built")
+
+        monkeypatch.setattr(equations, "smallest_share", unused)
+        code, out, err = run(capsys, "shares", "--count", str(equations.SHARES_MAX_COUNT + 1),
+                             "--total", "1", "--difference", "1")
+        assert (code, out) == (1, "")
+        assert err == "scribal: share count must be at most 10000, got 10001\n"
+
     def test_ladder_over_rung_cap_rejected(self, capsys, monkeypatch):
         def unused(*args):
             raise AssertionError("rung built")
