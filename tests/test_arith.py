@@ -856,6 +856,24 @@ def prime_power_nodes(draw):
     return value.numerator, value.denominator, max(d_min, 2), max_den
 
 
+def golden_draw_mismatches(draws):
+    """The recorded [value, max_terms, max_den, two_thirds, rendered] rows
+    that decompose no longer renders the same."""
+    mismatches = []
+    for value, max_terms, max_den, two_thirds, recorded in draws:
+        policy = DecompositionPolicy(max_terms=max_terms, max_denominator=max_den, allow_two_thirds=two_thirds)
+        try:
+            u = decompose(F(value), policy)
+        except BoundsExceededError:
+            got = "BoundsExceededError"
+        else:
+            got = u.render()
+            assert u.value() == F(value)
+        if got != recorded:
+            mismatches.append((value, policy, recorded, got))
+    return mismatches
+
+
 class TestPrimePowerSplit:
     # A three-term level whose denominator holds q = p**e exactly with
     # q <= max_den < p*q is solved by the set of its terms that q divides,
@@ -940,19 +958,14 @@ class TestPrimePowerSplit:
         # tests/record_decompose_golden.py, each under its recorded policy
         draws = GOLDEN["prime_power"]["draws"]
         assert len(draws) == 200
-        mismatches = []
-        for value, max_terms, max_den, two_thirds, recorded in draws:
-            policy = DecompositionPolicy(max_terms=max_terms, max_denominator=max_den, allow_two_thirds=two_thirds)
-            try:
-                u = decompose(F(value), policy)
-            except BoundsExceededError:
-                got = "BoundsExceededError"
-            else:
-                got = u.render()
-                assert u.value() == F(value)
-            if got != recorded:
-                mismatches.append((value, policy, recorded, got))
-        assert mismatches == []
+        assert golden_draw_mismatches(draws) == []
+
+    def test_golden_next_power_draws(self):
+        # the seeded values a/b with b = q * s for q = 17**2, 19**2 and 3**7 at
+        # max_den = 10**4, where a term may hold one more p than b does
+        draws = GOLDEN["next_power"]
+        assert len(draws) == 72
+        assert golden_draw_mismatches(draws) == []
 
     def test_named_values(self):
         # each took seconds before the split reached prime powers
