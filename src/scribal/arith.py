@@ -163,21 +163,24 @@ def _splitting(a: int, b: int, allow_two_thirds: bool) -> tuple[bool, list[int]]
 _FACTOR_CACHE: dict[int, dict[int, int]] = {}
 
 
-def _factorize_small(n: int) -> dict[int, int]:
+def _factorize_small(n: int, bound: int | None = None) -> dict[int, int]:
     # trial division with a cache; callers keep n modest (branch values
-    # are <= max_denominator, original denominators are user inputs)
+    # are <= max_denominator, original denominators are user inputs).
+    # With a bound, no divisor past it is tried: a cofactor left over then
+    # holds only primes past the bound, and stands in the result as one
+    # prime past it.
     cached = _FACTOR_CACHE.get(n)
     if cached is not None:
         return cached
     m, out, d = n, {}, 2
-    while d * d <= m:
+    while d * d <= m and (bound is None or d <= bound):
         while m % d == 0:
             out[d] = out.get(d, 0) + 1
             m //= d
         d += 1 if d == 2 else 2
     if m > 1:
         out[m] = out.get(m, 0) + 1
-    if n <= 10**6 and len(_FACTOR_CACHE) < 200_000:
+    if bound is None and n <= 10**6 and len(_FACTOR_CACHE) < 200_000:
         _FACTOR_CACHE[n] = out
     return out
 
@@ -368,7 +371,9 @@ class _Search:
         g: int = 1,
     ) -> None:
         # every t-term form of a/b (lowest terms, t >= 2) with terms of at
-        # least d_min. factors are its denominator's, None past 10**8; or,
+        # least d_min. factors are its denominator's, where a cofactor
+        # past max_den may stand as one prime, or None when the root's
+        # were too costly to find; or,
         # when the parent passes its term d > 0, those of the parent's
         # b*g/d, which the node turns into its own only when it reads them.
         max_den, best = self.max_den, self.best
@@ -426,20 +431,19 @@ class _Search:
             # b divides the lcm of the terms, so a prime power r**e of b
             # past max_den, which no term holds, leaves no form. A prime r
             # with s = r**e dividing b exactly and L = max_den // (r*s)
-            # splits a three-term node when L = 0, or when e = 1, L <= 2
-            # and 2*L < r: past that it tries too many k to pay. Of the
-            # primes that qualify take the largest s, whose K =
-            # max_den // s is the least. Testing every prime at every such
-            # node costs 5/1993, 5/922 and 7/997 under 1% (median of 41
-            # paired in-process runs, 2-vCPU Xeon VM), and ends
-            # 1671/(2*17**4) at its root in 0.03 ms.
+            # splits a three-term node when L <= 2 and 2*L < r: past that
+            # it tries too many k to pay. Of the primes that qualify take
+            # the largest s, whose K = max_den // s is the least. Testing
+            # every prime at every such node costs 5/1993, 5/922 and 7/997
+            # under 1% (median of 41 paired in-process runs, 2-vCPU Xeon
+            # VM), and ends 1671/(2*17**4) at its root in 0.03 ms.
             q = 0
             for r, e in factors.items():
                 s = r**e
                 if s > max_den:
                     return
                 L = max_den // (r * s)
-                if s > q and (not L or e == 1 and L <= 2 and 2 * L < r):
+                if s > q and L <= 2 and 2 * L < r:
                     p, q = r, s
             if q and t == 3:
                 # every term is at least lo, the smallest term's bound
@@ -468,21 +472,21 @@ class _Search:
         self, a: int, b: int, factors: dict[int, int], p: int, q: int, path: tuple[int, ...], d_min: int
     ) -> None:
         # The three-term forms of a/b with terms of at least d_min > b/a,
-        # where q = p**e <= max_den divides b exactly and L =
-        # max_den // (p*q) is 0, or e = 1, L <= 2 and 2*L < p. With
-        # b = q*c, the terms that q divides are q*k with k <= K =
-        # max_den // q. Multiply a/b = 1/x + 1/y + 1/z by q: a term that
-        # holds a lower power of p, or none, gives a q/x that vanishes mod
-        # p, so the 1/k of the terms q*k sum to a/c mod p. Each form has
-        # one such set S of k, so the forms fall into disjoint groups by
-        # |S|, and a term holding a lower power of p belongs to no set.
-        # When L = 0, p*q > max_den: no term holds more of p than b, and
-        # every k < p. When L > 0, q = p and a k that p divides is p*j
-        # with j <= L < p, and its 1/k has p in the denominator: alone
-        # nothing cancels it, and two such k need j1 + j2 = 0 mod p, more
-        # than 2*L. So a set of one or two k holds no multiple of p, nor
-        # does the third term beside a pair, and the residues of its k
-        # mod p fix them up to a step of p, at most L + 1 values each.
+        # where q = p**e <= max_den divides b exactly, L = max_den // (p*q)
+        # is at most 2 and 2*L < p. With b = q*c, the terms that q divides
+        # are q*k with k <= K = max_den // q. Multiply a/b = 1/x + 1/y +
+        # 1/z by q: a term that holds a lower power of p, or none, gives a
+        # q/x that vanishes mod p, so the 1/k of the terms q*k sum to a/c
+        # mod p. Each form has one such set S of k, so the forms fall into
+        # disjoint groups by |S|, and a term holding a lower power of p
+        # belongs to no set. L < p holds exactly when p**(e+2) > max_den,
+        # so a k that p divides is p*j with j <= L < p, and its 1/k has p
+        # in the denominator: alone nothing cancels it, and two such k
+        # need j1 + j2 = 0 mod p, more than 2*L. (When L = 0 there is no
+        # such k, and every k < p.) So a set of one or two k holds no
+        # multiple of p, nor does the third term beside a pair, and the
+        # residues of its k mod p fix them up to a step of p, at most L +
+        # 1 values each. The sets of three run over every k <= K.
         max_den, best = self.max_den, self.best
         c = b // q
         K = max_den // q
@@ -540,8 +544,18 @@ def _best_k_term(a0: int, b0: int, k: int, policy: DecompositionPolicy, best: _B
         if a0 == 1 and b0 <= policy.max_denominator:
             best.offer((b0,))
         return
-    root_factors = _factorize_small(b0) if b0 <= 10**8 else None
-    _Search(policy.max_denominator, best).node(a0, b0, root_factors, (), k, 2)
+    # Trial division tries no divisor past 10**4. Past 10**8 it stops at
+    # max_den: a cofactor left over holds only primes past max_den, which
+    # no term holds, so the gate at every node of three or more terms
+    # ends the search there.
+    max_den = policy.max_denominator
+    if b0 <= 10**8:
+        root_factors = _factorize_small(b0)
+    elif max_den <= 10**4:
+        root_factors = _factorize_small(b0, max_den)
+    else:
+        root_factors = None
+    _Search(max_den, best).node(a0, b0, root_factors, (), k, 2)
 
 
 def _shortest(a: int, b: int, policy: DecompositionPolicy) -> tuple[bool, list[int]]:

@@ -726,11 +726,11 @@ def three_term_forms(node, *, reference=False, y_floor=0):
 def takes_the_split(node):
     """Whether the three-term level splits, or ends at once: some prime p
     of b, with q = p**e dividing b exactly and L = max_den // (p*q), has
-    L = 0, or e = 1, L <= 2 and 2*L < p."""
+    L <= 2 and 2*L < p."""
     max_den = node[3]
     for p, e in _factorize_small(node[1]).items():
         L = max_den // p ** (e + 1)
-        if not L or e == 1 and L <= 2 and 2 * L < p:
+        if L <= 2 and 2 * L < p:
             return True
     return False
 
@@ -740,7 +740,8 @@ class TestThreeTermSplit:
     # max_den, or dividing it once with L = max_den // (p*p) <= 2 and
     # 2*L < p, is solved by the set of its terms that p divides, and offers
     # exactly the reference level's forms that reach the incumbent's
-    # y_floor, each once.
+    # y_floor, each once. TestPrimePowerSplit covers p dividing it more
+    # than once.
     @given(three_term_nodes(), st.data())
     @settings(max_examples=400, deadline=None)
     def test_planted_forms(self, node, data):
@@ -772,8 +773,9 @@ class TestThreeTermSplit:
         # j1 + j2 = 3 = 0 mod p, so they stand in the sets {3, 6} of
         # 5/12 = 1/4 + 1/9 + 1/18 and {3, 6, 8} of 5/24 = 1/9 + 1/18 +
         # 1/24, which the split's pairs would offer a second time. In
-        # 103/300 = 1/3 + 1/125 + 1/500, 300 = 2*2*3*5*5 with 5*5*5 <= 500,
-        # and two terms hold 5*5*5, more of 5 than 300 holds.
+        # 103/300 = 1/3 + 1/125 + 1/500, 300 = 2*2*3*5*5 with L = 500 //
+        # 5**3 = 4, and two terms hold 5*5*5, more of 5 than 300 holds,
+        # with j1 + j2 = 1 + 4 = 0 mod 5.
         for node, form in [((5, 12, 2, 18), (7, 4, 9, 18)), ((5, 24, 2, 24), (7, 9, 18, 24)),
                            ((103, 300, 2, 500), (7, 3, 125, 500))]:
             assert not takes_the_split(node)
@@ -810,21 +812,29 @@ PRIME_POWERS = tuple((p, e) for p in range(2, 101) if all(p % r for r in range(2
 def prime_power_nodes(draw):
     """(a, b, d_min, max_den) for a three-term level whose denominator
     mostly holds q = p**e exactly, e >= 2, with q <= max_den < p*q, so
-    K = max_den // q < p; max_den stays below 20000.
+    K = max_den // q < p, or, in one draw in three where p > 2 and p*q
+    <= max_den, with p*q <= max_den < 3*p*q and L = max_den // (p*q)
+    at most 2 and below p/2, so K >= p; max_den stays below 20000.
 
     Mostly a/b = 1/x + 1/y + 1/z with one, two or three of the terms
-    multiples q*k; each other term is a multiple of a lower power of p
-    in one draw in two, else any value, and is kept off the multiples of
-    q, below the smallest q*k in one draw in two. d_min sits on, next to
-    or away from the smallest term and each q*k, and below the largest
-    term the level may take. In one draw in six a
+    multiples q*k; when K >= p, one k in two of the first is p*j for j
+    <= L, a term holding more of p than q. Each other term is a multiple
+    of a lower power of p in one draw in two, else any value, and is kept
+    off the multiples of q, below the smallest q*k in one draw in two.
+    d_min sits on, next to or away from the smallest term and each q*k,
+    and below the largest term the level may take. In one draw in six a
     plain a/b with b = q*m for m < 23, where a multiple m of p puts a
-    power of p past max_den in b, which leaves no form.
+    power of p past max_den in b, which leaves no form, or one whose next
+    power still fits.
     """
     p, e = draw(st.sampled_from(PRIME_POWERS))
     q = p**e
-    top = min(p * q - 1, 19999)
-    max_den = draw(st.sampled_from([q, top]) | st.integers(q, top))
+    most_L = min(2, (p - 1) // 2)
+    if most_L and p * q <= 19999 and draw(st.integers(0, 2)) == 0:
+        low, top = p * q, min((most_L + 1) * p * q - 1, 19999)
+    else:
+        low, top = q, min(p * q - 1, 19999)
+    max_den = draw(st.sampled_from([low, top]) | st.integers(low, top))
     K = max_den // q
     if draw(st.integers(0, 5)) == 0:
         b = q * draw(st.integers(1, 22))
@@ -836,6 +846,8 @@ def prime_power_nodes(draw):
     else:
         size = draw(st.integers(1, min(3, K)))
         ks = draw(st.lists(st.integers(1, K), min_size=size, max_size=size, unique=True))
+        if K >= p and draw(st.booleans()):
+            ks[0] = p * draw(st.integers(1, K // p))
         multiples = [q * k for k in ks]
         top = min(multiples) - 1 if draw(st.booleans()) else max_den
         others = []
@@ -876,10 +888,11 @@ def golden_draw_mismatches(draws):
 
 class TestPrimePowerSplit:
     # A three-term level whose denominator holds q = p**e exactly with
-    # q <= max_den < p*q is solved by the set of its terms that q divides,
-    # while the terms holding a lower power of p stay in the leaves, and
-    # offers exactly the reference level's forms that reach the
-    # incumbent's y_floor, each once. A q past max_den leaves no form.
+    # q <= max_den < p*q, or with L = max_den // (p*q) at most 2 and 2*L
+    # < p, is solved by the set of its terms that q divides, while the
+    # terms holding a lower power of p stay in the leaves, and offers
+    # exactly the reference level's forms that reach the incumbent's
+    # y_floor, each once. A q past max_den leaves no form.
     @given(prime_power_nodes(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_planted_forms(self, node, data):
@@ -974,6 +987,108 @@ class TestPrimePowerSplit:
         for value in (F(25, 4913), F(22, 3481)):
             with pytest.raises(BoundsExceededError):
                 decompose(value)
+
+    def test_next_power_named_values(self):
+        # q = 17**2, 19**2 and 3**7 at max_den = 10**4, where p*q <= max_den
+        # lets a term hold one more p than b does; recorded before the
+        # split reached them, when they took 1-50 ms
+        assert decompose(F(38, 289)).render() == "1/8 + 1/160 + 1/8160 + 1/8670"
+        assert decompose(F(7, 361)).render() == "1/57 + 1/722 + 1/2166"
+        assert decompose(F(100, 2187)).render() == "1/24 + 1/288 + 1/2187 + 1/7776"
+
+    def test_next_power_splits(self, monkeypatch):
+        # Every three-term level of 38/289 keeps 17**2 = 289 in its
+        # denominator, with L = 10000 // 17**3 = 2, and splits on it: 16
+        # levels. A gate that splits only on primes dividing b once
+        # leaves them all to the loop.
+        split = arith._Search.split
+        qs = []
+
+        def counted(self, a, b, factors, p, q, path, d_min):
+            qs.append(q)
+            split(self, a, b, factors, p, q, path, d_min)
+
+        monkeypatch.setattr(arith._Search, "split", counted)
+        assert decompose(F(38, 289)).render() == "1/8 + 1/160 + 1/8160 + 1/8670"
+        assert qs == [289] * 16
+
+    def test_next_power_fixed_nodes(self):
+        # 7/361 = 1/57 + 1/722 + 1/2166 holds q = 19*19 with K = 27 > 19:
+        # 722 = 361*2 and 2166 = 361*6, beside 57 = 3*19; at max_den =
+        # 14000, L = 2 and a term may hold 19**3 = 6859. 1/10 + 1/2187 +
+        # 1/8748 = 1/10 + 1/3**7 + 1/(4*3**7) has the denominator
+        # 2*2*5*3**7, L = 1 and K = 4, so the k run past the multiple 3.
+        v = F(1, 10) + F(1, 2187) + F(1, 8748)
+        assert v.denominator == 4 * 5 * 3**7
+        for node, form in [((7, 361, 2, 10000), (7, 57, 722, 2166)),
+                           ((7, 361, 2, 14000), (7, 57, 722, 2166)),
+                           ((v.numerator, v.denominator, 2, 10000), (7, 10, 2187, 8748))]:
+            assert takes_the_split(node), node
+            got = three_term_forms(node)
+            assert form in got and len(set(got)) == len(got), node
+            assert got == three_term_forms(node, reference=True), node
+
+
+def is_prime(n):
+    return n > 1 and all(n % r for r in range(2, math.isqrt(n) + 1))
+
+
+class TestRootFactorsPastTenToTheEight:
+    # Past 10**8 a root's factors come from trial division up to max_den
+    # when max_den <= 10**4; a cofactor left over stands as one prime past
+    # max_den, which ends every node of three or more terms.
+    def test_bounded_factorisation(self, monkeypatch):
+        monkeypatch.setattr(arith, "_FACTOR_CACHE", {})
+        assert _factorize_small(943298826470, 2692) == {2: 1, 5: 1, 7: 1, 11: 3, 13: 1, 337: 1, 2311: 1}
+        # 10007 and 10009 are both past the bound: their product stands alone
+        assert _factorize_small(6 * 10007 * 10009, 100) == {2: 1, 3: 1, 10007 * 10009: 1}
+        # a cut-short result is not cached for the unbounded call
+        assert _factorize_small(101 * 103, 50) == {101 * 103: 1}
+        assert _factorize_small(101 * 103) == {101: 1, 103: 1}
+
+    def test_named_value(self):
+        # b = 2*5*7*11**3*13*337*2311: every three-term level below the
+        # root splits on a prime, which took 17-20 s with no root factors
+        policy = DecompositionPolicy(max_terms=4, max_denominator=2692)
+        got = decompose(F(3198680227, 943298826470), policy)
+        assert got.render() == "1/674 + 1/910 + 1/2311 + 1/2662"
+
+    def test_cofactor_past_max_den_ends_at_the_root(self):
+        # 100003*1009 holds no prime up to 1000, so nothing fits
+        policy = DecompositionPolicy(max_terms=4, max_denominator=1000)
+        with mock.patch.object(arith, "_child_factors", wraps=arith._child_factors) as child:
+            with pytest.raises(BoundsExceededError):
+                decompose(F(7, 2 * 3 * 100003 * 1009), policy)
+        child.assert_not_called()
+
+    def test_matches_the_unfactored_search(self):
+        # Seeded a/b past 10**8 as the sum of three terms up to 500-2000 or
+        # four up to 100-300, and in every second pair of draws with b
+        # times a prime past max_den, which leaves no form. Each runs at
+        # two terms up to its own count, against the search with no root
+        # factors, and both offer the same forms.
+        rng = random.Random(2024)
+        found = 0
+        for i in range(40):
+            t = 3 + i % 2
+            while True:
+                max_den = rng.randint(500, 2000) if t == 3 else rng.randint(100, 300)
+                v = sum(F(1, x) for x in rng.sample(range(2, max_den + 1), t))
+                if i // 2 % 2:
+                    prime = rng.randint(max_den + 1, 3 * max_den)
+                    while not is_prime(prime) or v.numerator % prime == 0:
+                        prime += 1
+                    v = F(v.numerator, v.denominator * prime)
+                if v < 1 and v.denominator > 10**8:
+                    break
+            for k in range(2, t + 1):
+                policy = DecompositionPolicy(max_terms=k, max_denominator=max_den)
+                factored, unfactored = Offers(), Offers()
+                arith._best_k_term(v.numerator, v.denominator, k, policy, factored)
+                _Search(max_den, unfactored).node(v.numerator, v.denominator, None, (), k, 2)
+                assert sorted(factored.forms) == sorted(unfactored.forms), (v, k, max_den)
+                found += bool(factored.forms)
+        assert found == 20
 
 
 def reference_greedy(f):
