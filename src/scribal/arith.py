@@ -486,7 +486,9 @@ class _Search:
         # such k, and every k < p.) So a set of one or two k holds no
         # multiple of p, nor does the third term beside a pair, and the
         # residues of its k mod p fix them up to a step of p, at most L +
-        # 1 values each. The sets of three run over every k <= K.
+        # 1 values each. The sets of three run over every k <= K; with
+        # L <= 2 no form has three distinct terms that hold more of p than
+        # b, so none turns up again among the pairs.
         max_den, best = self.max_den, self.best
         c = b // q
         K = max_den // q
@@ -514,13 +516,15 @@ class _Search:
             if e % p == 0:
                 continue
             # every k2 > k1 in its residue class; a k1 that p divides puts
-            # k2 in the class of 0 and offers nothing
+            # k2 in the class of 0. A rest m that q divides would make a set
+            # of three, so it is dropped: the only one is m = q*k1 when p = 5
+            # and L = 2, as 1/5 + 1/10 + 1/5 = 1/2 repeats the term q*5.
             k2 = k1 * c * pow(e, -1, p) % p
             while k2 <= K:
                 n = e * k2 - c * k1  # the rest is n/(b*k1*k2)
                 if k2 > k1 and n > 0:
                     m, r = divmod(b * k1 * k2, n)
-                    if not r and d_min <= m <= max_den:
+                    if not r and d_min <= m <= max_den and m % q:
                         x, y = q * k1, q * k2
                         dens = (m, x, y) if m < x else (x, m, y) if m < y else (x, y, m)
                         if dens[-1] >= best.y_floor:

@@ -775,9 +775,15 @@ class TestThreeTermSplit:
         # 1/24, which the split's pairs would offer a second time. In
         # 103/300 = 1/3 + 1/125 + 1/500, 300 = 2*2*3*5*5 with L = 500 //
         # 5**3 = 4, and two terms hold 5*5*5, more of 5 than 300 holds,
-        # with j1 + j2 = 1 + 4 = 0 mod 5.
+        # with j1 + j2 = 1 + 4 = 0 mod 5. A split with 2*L >= p would offer
+        # 1/4 = 1/8 + 1/16 + 1/16 (p = 2, q = 4, L = 2) with its term
+        # repeated, and 1/3 = 1/6 + 1/9 + 1/18 at max_den 19 (p = 3, L = 2)
+        # twice. With L = 3, 1/66 = 1/121 + 1/242 + 1/363 holds three
+        # multiples of p = 11, as 1 + 1/2 + 1/3 = 0 mod 11, and a split
+        # would offer it more than once.
         for node, form in [((5, 12, 2, 18), (7, 4, 9, 18)), ((5, 24, 2, 24), (7, 9, 18, 24)),
-                           ((103, 300, 2, 500), (7, 3, 125, 500))]:
+                           ((103, 300, 2, 500), (7, 3, 125, 500)), ((1, 4, 2, 16), (7, 10, 12, 15)),
+                           ((1, 3, 2, 19), (7, 6, 9, 18)), ((1, 66, 2, 363), (7, 121, 242, 363))]:
             assert not takes_the_split(node)
             got = three_term_forms(node)
             assert form in got
@@ -806,15 +812,18 @@ class TestThreeTermSplit:
 # (p, e) with e >= 2 and q = p**e <= 10000
 PRIME_POWERS = tuple((p, e) for p in range(2, 101) if all(p % r for r in range(2, math.isqrt(p) + 1))
                      for e in range(2, 14) if p**e <= 10000)
+# those whose next power p*q fits under 20000, with p > 2 so that L = 1
+# has 2*L < p
+NEXT_POWERS = tuple((p, e) for p, e in PRIME_POWERS if p > 2 and p ** (e + 1) < 20000)
 
 
 @st.composite
 def prime_power_nodes(draw):
     """(a, b, d_min, max_den) for a three-term level whose denominator
     mostly holds q = p**e exactly, e >= 2, with q <= max_den < p*q, so
-    K = max_den // q < p, or, in one draw in three where p > 2 and p*q
-    <= max_den, with p*q <= max_den < 3*p*q and L = max_den // (p*q)
-    at most 2 and below p/2, so K >= p; max_den stays below 20000.
+    K = max_den // q < p, or, in one draw in three, with p*q <= max_den <
+    3*p*q and L = max_den // (p*q) at most 2 and below p/2, so K >= p;
+    max_den stays below 20000.
 
     Mostly a/b = 1/x + 1/y + 1/z with one, two or three of the terms
     multiples q*k; when K >= p, one k in two of the first is p*j for j
@@ -827,12 +836,13 @@ def prime_power_nodes(draw):
     power of p past max_den in b, which leaves no form, or one whose next
     power still fits.
     """
-    p, e = draw(st.sampled_from(PRIME_POWERS))
-    q = p**e
-    most_L = min(2, (p - 1) // 2)
-    if most_L and p * q <= 19999 and draw(st.integers(0, 2)) == 0:
-        low, top = p * q, min((most_L + 1) * p * q - 1, 19999)
+    if draw(st.integers(0, 2)) == 0:
+        p, e = draw(st.sampled_from(NEXT_POWERS))
+        q = p**e
+        low, top = p * q, min((min(2, (p - 1) // 2) + 1) * p * q - 1, 19999)
     else:
+        p, e = draw(st.sampled_from(PRIME_POWERS))
+        q = p**e
         low, top = q, min(p * q - 1, 19999)
     max_den = draw(st.sampled_from([low, top]) | st.integers(low, top))
     K = max_den // q
@@ -929,6 +939,17 @@ class TestPrimePowerSplit:
             with mock.patch.object(arith, "_Merged", wraps=arith._Merged) as merged:
                 three_term_forms(node)
             assert [call.args[2] for call in merged.call_args_list] == terms, node
+
+    def test_pairs_drop_a_rest_that_q_divides(self):
+        # At p = 5 and L = 2 the pair k1 = 5, k2 = 10 leaves the rest
+        # 1/(q*5), the term q*k1 again: 1/10 = 1/25 + 1/50 + 1/25 (q = 5,
+        # max_den 50-74), 1/50 = 1/125 + 1/250 + 1/125 (q = 25) and so on.
+        # The split offers no such form, and each of its forms once.
+        for node in [(1, 10, 2, 60), (1, 50, 2, 374), (1, 250, 2, 1874)]:
+            assert takes_the_split(node), node
+            got = three_term_forms(node)
+            assert all(len(set(form)) == 4 for form in got) and len(set(got)) == len(got), node
+            assert got == three_term_forms(node, reference=True), node
 
     def test_power_past_max_den_offers_nothing(self):
         # 17**4 = 83521 > 10000 divides 3/(2*17**4): no term holds it
@@ -1042,24 +1063,36 @@ class TestRootFactorsPastTenToTheEight:
         assert _factorize_small(943298826470, 2692) == {2: 1, 5: 1, 7: 1, 11: 3, 13: 1, 337: 1, 2311: 1}
         # 10007 and 10009 are both past the bound: their product stands alone
         assert _factorize_small(6 * 10007 * 10009, 100) == {2: 1, 3: 1, 10007 * 10009: 1}
+        # a prime on the bound is still tried
+        assert _factorize_small(6 * 10007 * 10009, 10007) == {2: 1, 3: 1, 10007: 1, 10009: 1}
         # a cut-short result is not cached for the unbounded call
         assert _factorize_small(101 * 103, 50) == {101 * 103: 1}
         assert _factorize_small(101 * 103) == {101: 1, 103: 1}
 
-    def test_named_value(self):
-        # b = 2*5*7*11**3*13*337*2311: every three-term level below the
-        # root splits on a prime, which took 17-20 s with no root factors
+    def test_named_value(self, monkeypatch):
+        # b = 2*5*7*11**3*13*337*2311: the three-term levels below the root
+        # split, 740 of them, which took 17-20 s with no root factors
+        split = arith._Search.split
+        calls = []
+
+        def counted(self, *args):
+            calls.append(args)
+            split(self, *args)
+
+        monkeypatch.setattr(arith._Search, "split", counted)
         policy = DecompositionPolicy(max_terms=4, max_denominator=2692)
         got = decompose(F(3198680227, 943298826470), policy)
         assert got.render() == "1/674 + 1/910 + 1/2311 + 1/2662"
+        assert len(calls) == 740
 
     def test_cofactor_past_max_den_ends_at_the_root(self):
-        # 100003*1009 holds no prime up to 1000, so nothing fits
+        # 100003*1009 holds no prime up to 1000, so nothing fits: the
+        # search at two, three and four terms is one node each
         policy = DecompositionPolicy(max_terms=4, max_denominator=1000)
-        with mock.patch.object(arith, "_child_factors", wraps=arith._child_factors) as child:
+        with mock.patch.object(_Search, "node", autospec=True, side_effect=_Search.node) as node:
             with pytest.raises(BoundsExceededError):
                 decompose(F(7, 2 * 3 * 100003 * 1009), policy)
-        child.assert_not_called()
+        assert node.call_count == 3
 
     def test_matches_the_unfactored_search(self):
         # Seeded a/b past 10**8 as the sum of three terms up to 500-2000 or
