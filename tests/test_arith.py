@@ -826,8 +826,8 @@ def prime_power_nodes(draw):
     max_den stays below 20000.
 
     Mostly a/b = 1/x + 1/y + 1/z with one, two or three of the terms
-    multiples q*k; when K >= p, one k in two of the first is p*j for j
-    <= L, a term holding more of p than q. Each other term is a multiple
+    multiples q*k; when K >= p, in one draw in two the first k is p*j
+    for j <= L, a term holding more of p than q. Each other term is a multiple
     of a lower power of p in one draw in two, else any value, and is kept
     off the multiples of q, below the smallest q*k in one draw in two.
     d_min sits on, next to or away from the smallest term and each q*k,
@@ -876,6 +876,19 @@ def prime_power_nodes(draw):
     # no term exceeds 3*b/a
     d_min = draw(st.sampled_from(edges) | st.integers(2, max(2, min(max_den, int(3 / value)))))
     return value.numerator, value.denominator, max(d_min, 2), max_den
+
+
+def split_qs(monkeypatch):
+    """The list that the q of each _Search.split call goes to from now on."""
+    split = arith._Search.split
+    qs = []
+
+    def counted(self, a, b, factors, p, q, path, d_min):
+        qs.append(q)
+        split(self, a, b, factors, p, q, path, d_min)
+
+    monkeypatch.setattr(arith._Search, "split", counted)
+    return qs
 
 
 def golden_draw_mismatches(draws):
@@ -1022,14 +1035,7 @@ class TestPrimePowerSplit:
         # denominator, with L = 10000 // 17**3 = 2, and splits on it: 16
         # levels. A gate that splits only on primes dividing b once
         # leaves them all to the loop.
-        split = arith._Search.split
-        qs = []
-
-        def counted(self, a, b, factors, p, q, path, d_min):
-            qs.append(q)
-            split(self, a, b, factors, p, q, path, d_min)
-
-        monkeypatch.setattr(arith._Search, "split", counted)
+        qs = split_qs(monkeypatch)
         assert decompose(F(38, 289)).render() == "1/8 + 1/160 + 1/8160 + 1/8670"
         assert qs == [289] * 16
 
@@ -1071,19 +1077,12 @@ class TestRootFactorsPastTenToTheEight:
 
     def test_named_value(self, monkeypatch):
         # b = 2*5*7*11**3*13*337*2311: the three-term levels below the root
-        # split, 740 of them, which took 17-20 s with no root factors
-        split = arith._Search.split
-        calls = []
-
-        def counted(self, *args):
-            calls.append(args)
-            split(self, *args)
-
-        monkeypatch.setattr(arith._Search, "split", counted)
+        # split, 740 of them, which took 16-20 s with no root factors
+        qs = split_qs(monkeypatch)
         policy = DecompositionPolicy(max_terms=4, max_denominator=2692)
         got = decompose(F(3198680227, 943298826470), policy)
         assert got.render() == "1/674 + 1/910 + 1/2311 + 1/2662"
-        assert len(calls) == 740
+        assert len(qs) == 740
 
     def test_cofactor_past_max_den_ends_at_the_root(self):
         # 100003*1009 holds no prime up to 1000, so nothing fits: the
