@@ -160,18 +160,14 @@ def _splitting(a: int, b: int, allow_two_thirds: bool) -> tuple[bool, list[int]]
     return False, resolve_duplicates(half, half)
 
 
-_FACTOR_CACHE: dict[int, dict[int, int]] = {}
-
-
+@lru_cache(maxsize=200_000)
 def _factorize_small(n: int, bound: int | None = None) -> dict[int, int]:
-    # trial division with a cache; callers keep n modest (branch values
-    # are <= max_denominator, original denominators are user inputs).
-    # With a bound, no divisor past it is tried: a cofactor left over then
-    # holds only primes past the bound, and stands in the result as one
-    # prime past it.
-    cached = _FACTOR_CACHE.get(n)
-    if cached is not None:
-        return cached
+    # trial division; callers keep n modest (branch values are <=
+    # max_denominator, original denominators are user inputs). With a
+    # bound, no divisor past it is tried: a cofactor left over then holds
+    # only primes past the bound, and stands in the result as one prime
+    # past it. The cache hands every caller the same dict, so no caller
+    # may mutate one.
     m, out, d = n, {}, 2
     while d * d <= m and (bound is None or d <= bound):
         while m % d == 0:
@@ -180,8 +176,6 @@ def _factorize_small(n: int, bound: int | None = None) -> dict[int, int]:
         d += 1 if d == 2 else 2
     if m > 1:
         out[m] = out.get(m, 0) + 1
-    if bound is None and n <= 10**6 and len(_FACTOR_CACHE) < 200_000:
-        _FACTOR_CACHE[n] = out
     return out
 
 
@@ -223,7 +217,7 @@ def _divisor_count_records(limit: int) -> tuple[tuple[int, ...], tuple[int, ...]
     while primorial <= limit:
         primes.append(p)
         p += 1
-        while any(p % q == 0 for q in primes):
+        while _factorize_small(p) != {p: 1}:
             p += 1
         primorial *= p
     shaped: list[tuple[int, int]] = []
@@ -277,6 +271,9 @@ class _BestCandidate:
 
     def offer(self, dens: tuple[int, ...]) -> None:
         largest = dens[-1]
+        # below y_floor the largest has fewer divisors than the best's
+        if largest < self.y_floor:
+            return
         if self.rich:
             divisors = math.prod(e + 1 for e in _factorize_small(largest).values())
             key = (-divisors, largest, dens)
@@ -287,6 +284,11 @@ class _BestCandidate:
                 self.y_floor = _divisor_floor(divisors, self.record_limit)
             self.best = key
             self.dens = dens
+
+
+def _with_term(term: int, x: int, y: int) -> tuple[int, int, int]:
+    # the term put in order beside x < y
+    return (term, x, y) if term < x else (x, term, y) if term < y else (x, y, term)
 
 
 def _child_factors(factors: dict[int, int], d: int, g: int) -> dict[int, int]:
@@ -326,15 +328,8 @@ class _Merged:
 
     def offer(self, pair: tuple[int, ...]) -> None:
         x, y = pair
-        q, term = self.q, self.term
-        if x % q and y % q:
-            if term < x:
-                dens = (term, x, y)
-            elif term < y:
-                dens = (x, term, y)
-            else:
-                dens = (x, y, term)
-            self.best.offer(self.path + dens)
+        if x % self.q and y % self.q:
+            self.best.offer(self.path + _with_term(self.term, x, y))
 
 
 # A two-term leaf takes Rav's divisor pairs when it has its denominator's
@@ -403,14 +398,13 @@ class _Search:
                 # n <= b/m needs j <= (b/m + m)/a. x falls as j rises, so
                 # x >= lo gives j <= lo*m/(lo*a - b), which also keeps y <=
                 # max_den, since lo is at least the x of y = max_den. The
-                # loop ignores hi, so y >= y_floor is checked on each
-                # solution.
+                # loop ignores hi, so the best drops a y below y_floor.
                 lo_excess = lo * a - b
                 for m in _divisors_between(b, factors, -(-b // max_den), math.isqrt(b - 1)):
                     q = b // m
                     for j in range(2 * m // a + 1, min((q + m) // a, lo * m // lo_excess) + 1):
                         n = j * a - m
-                        if q % n == 0 and math.gcd(m, n) == 1 and j * q >= y_floor:
+                        if q % n == 0 and math.gcd(m, n) == 1:
                             best.offer(path + (j * b // n, j * q))
                 return
             # x = (e + b)/a and y = (b*b/e + b)/a, so step e = a*x - b
@@ -420,7 +414,7 @@ class _Search:
                 if bb % e == 0:
                     # e = -b mod a and gcd(a, b) = 1, so bb/e = -b mod a too
                     x, y = (e + b) // a, (bb // e + b) // a
-                    if x < y <= max_den:
+                    if x < y:
                         best.offer(path + (x, y))
             return
         if lo > hi:
@@ -525,10 +519,7 @@ class _Search:
                 if k2 > k1 and n > 0:
                     m, r = divmod(b * k1 * k2, n)
                     if not r and d_min <= m <= max_den and m % q:
-                        x, y = q * k1, q * k2
-                        dens = (m, x, y) if m < x else (x, m, y) if m < y else (x, y, m)
-                        if dens[-1] >= best.y_floor:
-                            best.offer(path + dens)
+                        best.offer(path + _with_term(m, q * k1, q * k2))
                 k2 += p
         # |S| = 3: 1/k1 + 1/k2 + 1/k3 = a/c exactly
         for k1 in range(max(k_lo, c // a + 1), min(K, 3 * c // a) + 1):
@@ -536,7 +527,7 @@ class _Search:
             for k2 in range(max(k1 + 1, f // e + 1), min(K, 2 * f // e) + 1):
                 n = e * k2 - f
                 k3, r = divmod(f * k2, n)
-                if not r and k2 < k3 <= K and q * k3 >= best.y_floor:
+                if not r and k2 < k3 <= K:
                     best.offer(path + (q * k1, q * k2, q * k3))
 
 
@@ -548,17 +539,12 @@ def _best_k_term(a0: int, b0: int, k: int, policy: DecompositionPolicy, best: _B
         if a0 == 1 and b0 <= policy.max_denominator:
             best.offer((b0,))
         return
-    # Trial division tries no divisor past 10**4. Past 10**8 it stops at
-    # max_den: a cofactor left over holds only primes past max_den, which
-    # no term holds, so the gate at every node of three or more terms
-    # ends the search there.
+    # The root is factored when trial division, which stops at max_den,
+    # stops by 10**4. A cofactor left over holds only primes past max_den,
+    # which no term holds, so the gate at every node of three or more
+    # terms ends the search there.
     max_den = policy.max_denominator
-    if b0 <= 10**8:
-        root_factors = _factorize_small(b0)
-    elif max_den <= 10**4:
-        root_factors = _factorize_small(b0, max_den)
-    else:
-        root_factors = None
+    root_factors = _factorize_small(b0, max_den) if min(max_den, math.isqrt(b0)) <= 10**4 else None
     _Search(max_den, best).node(a0, b0, root_factors, (), k, 2)
 
 

@@ -131,17 +131,21 @@ def circle_area_egyptian(diameter: Fraction | int) -> Fraction:
     return (Fraction(8, 9) * d) ** 2
 
 
-def implied_pi_error(report_digits: int = 15) -> ErrorReport:
-    """How far the quadrature rule's implied pi (256/81) overshoots pi."""
+def _pi_truncated(report_digits: int) -> Fraction:
+    # pi truncated to report_digits decimals, a lower bound
     if not 1 <= report_digits <= len(_PI_DIGITS) - 1:
         raise ValueError(f"report_digits must be in 1..{len(_PI_DIGITS) - 1}")
-    pi_lo = Fraction(int(_PI_DIGITS[: report_digits + 1]), 10**report_digits)
-    return ErrorReport.build(Fraction(256, 81), pi_lo, approx_digits=report_digits)
+    return Fraction(int(_PI_DIGITS[: report_digits + 1]), 10**report_digits)
+
+
+def implied_pi_error(report_digits: int = 15) -> ErrorReport:
+    """How far the quadrature rule's implied pi (256/81) overshoots pi."""
+    return ErrorReport.build(Fraction(256, 81), _pi_truncated(report_digits), approx_digits=report_digits)
 
 
 def pi_comparison_set(report_digits: int = 15) -> list[tuple[str, ErrorReport]]:
     """The quadrature value beside the neighbouring traditions' constants."""
-    pi_lo = Fraction(int(_PI_DIGITS[: report_digits + 1]), 10**report_digits)
+    pi_lo = _pi_truncated(report_digits)
     values = [
         ("egyptian 256/81", Fraction(256, 81)),
         ("babylonian 3", Fraction(3)),
@@ -365,14 +369,14 @@ def edfu_error_report(
     term whose squared product is a perfect square stays exact (this
     covers every rectangle, however it is rotated), and the rest are
     bounded to ``digits`` correct decimals, reported as a lower bound.
+    The vertex count is checked before the quadratic simple-polygon check.
     """
-    _, lattice, scale = _simple_lattice(vertices)
-    if len(lattice) == 3:
-        sq = _squared_side_lengths(lattice) + [0]
-    elif len(lattice) == 4:
-        sq = _squared_side_lengths(lattice)
-    else:
+    if len(vertices) > 4:
         raise ValueError("the rule applies to quadrilaterals and triangles only")
+    _, lattice, scale = _simple_lattice(vertices)
+    sq = _squared_side_lengths(lattice)
+    if len(sq) == 3:
+        sq.append(0)
     sa, sb, sc, sd = sq
     # (a+c)(b+d)/4 = (ab + ad + cb + cd)/4, each product a single square root;
     # a product of two squared lattice lengths carries the scale to the fourth

@@ -291,7 +291,8 @@ def reference_two_term_into(a, b, b_factors, d_min, max_den, prefix, best):
 
 
 class Offers:
-    """Stands in for _BestCandidate and keeps every form offered."""
+    """Stands in for _BestCandidate and keeps every form offered that
+    reaches its y_floor; _BestCandidate.offer drops the rest unread."""
 
     y_floor = 0
 
@@ -299,7 +300,8 @@ class Offers:
         self.forms = []
 
     def offer(self, dens):
-        self.forms.append(dens)
+        if dens[-1] >= self.y_floor:
+            self.forms.append(dens)
 
 
 # primes up to isqrt(200): a leaf built from terms of at least 200 that
@@ -515,6 +517,17 @@ class TestIncumbentFloor:
         best = _BestCandidate(DecompositionPolicy(prefer_divisor_rich=False))
         best.offer((2, 60))
         assert best.y_floor == 0
+
+    def test_offer_below_the_floor_factors_nothing(self):
+        # a largest term below y_floor has fewer divisors than the best's,
+        # so offer drops the form before it factors that term
+        best = _BestCandidate(DecompositionPolicy(max_denominator=100))
+        best.offer((5, 60))
+        with mock.patch.object(arith, "_factorize_small", wraps=arith._factorize_small) as factor:
+            best.offer((3, 59))
+            best.offer((2, 4, 48))
+        factor.assert_not_called()
+        assert (best.dens, best.y_floor) == ((5, 60), 60)
 
 
 # the primes from 23 to 400: a planted leaf's terms stay below 40000
@@ -1064,14 +1077,14 @@ class TestRootFactorsPastTenToTheEight:
     # Past 10**8 a root's factors come from trial division up to max_den
     # when max_den <= 10**4; a cofactor left over stands as one prime past
     # max_den, which ends every node of three or more terms.
-    def test_bounded_factorisation(self, monkeypatch):
-        monkeypatch.setattr(arith, "_FACTOR_CACHE", {})
+    def test_bounded_factorisation(self):
+        _factorize_small.cache_clear()
         assert _factorize_small(943298826470, 2692) == {2: 1, 5: 1, 7: 1, 11: 3, 13: 1, 337: 1, 2311: 1}
         # 10007 and 10009 are both past the bound: their product stands alone
         assert _factorize_small(6 * 10007 * 10009, 100) == {2: 1, 3: 1, 10007 * 10009: 1}
         # a prime on the bound is still tried
         assert _factorize_small(6 * 10007 * 10009, 10007) == {2: 1, 3: 1, 10007: 1, 10009: 1}
-        # a cut-short result is not cached for the unbounded call
+        # a cut-short result is cached under its own bound only
         assert _factorize_small(101 * 103, 50) == {101 * 103: 1}
         assert _factorize_small(101 * 103) == {101: 1, 103: 1}
 
@@ -1092,6 +1105,17 @@ class TestRootFactorsPastTenToTheEight:
             with pytest.raises(BoundsExceededError):
                 decompose(F(7, 2 * 3 * 100003 * 1009), policy)
         assert node.call_count == 3
+
+    def test_root_whose_square_root_is_ten_to_the_four_is_factored(self):
+        # 10**8 < b < 10001**2 stops trial division at isqrt(b) = 10**4, so
+        # the root is factored whatever max_den; its prime 5882353 past
+        # max_den then ends each search of three or more terms at its root
+        b = 10**8 + 1
+        policy = DecompositionPolicy(max_terms=4, max_denominator=2 * 10**4)
+        with mock.patch.object(_Search, "node", autospec=True, side_effect=_Search.node) as node:
+            with pytest.raises(BoundsExceededError):
+                decompose(F(20001, b), policy)
+        assert [call.args[3] for call in node.call_args_list] == [{17: 1, 5882353: 1}] * 3
 
     def test_matches_the_unfactored_search(self):
         # Seeded a/b past 10**8 as the sum of three terms up to 500-2000 or
@@ -1121,6 +1145,29 @@ class TestRootFactorsPastTenToTheEight:
                 assert sorted(factored.forms) == sorted(unfactored.forms), (v, k, max_den)
                 found += bool(factored.forms)
         assert found == 20
+
+
+def test_searches_mutate_no_cached_factorisation(monkeypatch):
+    # The cache hands every caller the same dict. Every factorisation
+    # that searches which split and take divisor pairs read is, after
+    # them, what it was when it was handed out, and still the cached one.
+    factorize = arith._factorize_small
+    handed = []
+
+    def recorded(n, bound=None):
+        out = factorize(n, bound)
+        handed.append((n, bound, out, dict(out)))
+        return out
+
+    monkeypatch.setattr(arith, "_factorize_small", recorded)
+    qs = split_qs(monkeypatch)
+    with mock.patch.object(arith, "_divisors_between", wraps=arith._divisors_between) as pairs:
+        for value, policy in [(F(2, 841), TABLE_POLICY), (F(38, 289), DEFAULT_POLICY),
+                              (F(965, 874), DEFAULT_POLICY), (F(5, 922), DEFAULT_POLICY)]:
+            decompose(value, policy)
+    assert qs and pairs.called and handed
+    for n, bound, out, snapshot in handed:
+        assert out == snapshot and factorize(n, bound) is out, (n, bound)
 
 
 def reference_greedy(f):

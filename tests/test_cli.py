@@ -79,6 +79,12 @@ class TestPiError:
         _, out, _ = run(capsys, "pi-error", "--compare")
         assert "babylonian 3" in out and "roman 4" in out
 
+    @pytest.mark.parametrize("compare", [[], ["--compare"]])
+    @pytest.mark.parametrize("digits", ["0", "51", "-3"])
+    def test_digits_outside_the_table_refused(self, capsys, compare, digits):
+        code, out, err = run(capsys, "pi-error", *compare, "--digits", digits)
+        assert (code, out, err) == (1, "", "scribal: report_digits must be in 1..50\n")
+
 
 class TestArithmeticCommands:
     def test_decompose(self, capsys):

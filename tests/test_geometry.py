@@ -94,6 +94,14 @@ class TestImpliedPi:
         assert abs(babylonian + F(141593, 10**6)) < F(1, 10**6)
         assert abs(roman - F(858407, 10**6)) < F(1, 10**6)
 
+    @pytest.mark.parametrize("fn", [implied_pi_error, pi_comparison_set])
+    @pytest.mark.parametrize("digits", [0, 51, -3])
+    def test_digits_outside_the_table_refused(self, fn, digits):
+        # 50 digits of pi are stored; a count outside 1..50 would report a
+        # bound off by a power of ten, or no bound at all
+        with pytest.raises(ValueError, match=r"^report_digits must be in 1\.\.50$"):
+            fn(digits)
+
     def test_report_fields_consistent(self):
         report = implied_pi_error()
         assert report.absolute_error == report.historical - report.exact
@@ -538,12 +546,13 @@ def ref_area(vertices):
 
 
 def ref_edfu_report(vertices, digits=geometry.SQRT_DIGITS):
+    # the vertex count first: more than four is refused before validation
+    if len(vertices) > 4:
+        raise ValueError("the rule applies to quadrilaterals and triangles only")
     pts = ref_validate(vertices)
     sq = [(x2 - x1) ** 2 + (y2 - y1) ** 2 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1])]
     if len(pts) == 3:
         sq.append(F(0))
-    elif len(pts) != 4:
-        raise ValueError("the rule applies to quadrilaterals and triangles only")
     sa, sb, sc, sd = sq
     lo_sum = F(0)
     all_exact = True
@@ -652,3 +661,19 @@ def test_edfu_report_validates_once(monkeypatch):
     for n, figure in enumerate(figures, 1):
         edfu_error_report(figure)
         assert len(calls) == n
+
+
+def test_edfu_report_counts_vertices_before_validating(monkeypatch):
+    # the simple-polygon check is quadratic in the vertex count; five or
+    # more vertices, simple or not, are refused before it runs
+    def unused(vertices):
+        raise AssertionError("polygon validated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_simple_lattice", unused)
+        for figure in ([(0, 0), (2, 0), (3, 1), (1, 2), (-1, 1)], [(0, 0), (2, 2), (2, 0), (0, 2), (1, 3)]):
+            with pytest.raises(ValueError, match="quadrilaterals and triangles only"):
+                edfu_error_report(figure)
+    # fewer than three keep the validation's own message
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        edfu_error_report([(0, 0), (1, 0)])
