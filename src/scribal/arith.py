@@ -162,12 +162,12 @@ def _splitting(a: int, b: int, allow_two_thirds: bool) -> tuple[bool, list[int]]
 
 @lru_cache(maxsize=200_000)
 def _factorize_small(n: int, bound: int | None = None) -> dict[int, int]:
-    # trial division; callers keep n modest (branch values are <=
-    # max_denominator, original denominators are user inputs). With a
-    # bound, no divisor past it is tried: a cofactor left over then holds
-    # only primes past the bound, and stands in the result as one prime
-    # past it. The cache hands every caller the same dict, so no caller
-    # may mutate one.
+    # trial division. The search passes bound = max_den, so a term costs
+    # at most sqrt(max_den)/2 divisions and a root's denominator b at most
+    # min(max_den, sqrt(b))/2. With a bound, no divisor past it is tried: a
+    # cofactor left over then holds only primes past the bound, and stands
+    # in the result as one prime past it. The cache hands every caller
+    # the same dict, so no caller may mutate one.
     m, out, d = n, {}, 2
     while d * d <= m and (bound is None or d <= bound):
         while m % d == 0:
@@ -291,10 +291,11 @@ def _with_term(term: int, x: int, y: int) -> tuple[int, int, int]:
     return (term, x, y) if term < x else (x, term, y) if term < y else (x, y, term)
 
 
-def _child_factors(factors: dict[int, int], d: int, g: int) -> dict[int, int]:
-    # the factors of b*d/g from those of b, where every prime of g divides d
+def _child_factors(factors: dict[int, int], d: int, g: int, bound: int) -> dict[int, int]:
+    # the factors of b*d/g from those of b, where every prime of g divides
+    # d, with d factored up to bound
     child = dict(factors)
-    for p, e in _factorize_small(d).items():
+    for p, e in _factorize_small(d, bound).items():
         e += child.get(p, 0)
         while g % p == 0:
             g //= p
@@ -332,8 +333,8 @@ class _Merged:
             self.best.offer(self.path + _with_term(self.term, x, y))
 
 
-# A two-term leaf takes Rav's divisor pairs when it has its denominator's
-# factors and hi - lo is at least this, and scans its window otherwise.
+# A two-term leaf takes Rav's divisor pairs, which need its denominator's
+# factors, when hi - lo is at least this, and scans its window otherwise.
 # Over the table and default-policy ops of the search benchmark's seed-0
 # and seed-71 passes (best of 21 in one process, 2-vCPU Xeon VM), 64,
 # 128, 256, 384, 512 and 1024 summed to 51.0, 48.3, 47.3, 47.2, 47.6 and
@@ -358,19 +359,18 @@ class _Search:
         self,
         a: int,
         b: int,
-        factors: dict[int, int] | None,
+        factors: dict[int, int],
         path: tuple[int, ...],
         t: int,
         d_min: int,
-        d: int = 0,
-        g: int = 1,
+        d: int,
+        g: int,
     ) -> None:
         # every t-term form of a/b (lowest terms, t >= 2) with terms of at
-        # least d_min. factors are its denominator's, where a cofactor
-        # past max_den may stand as one prime, or None when the root's
-        # were too costly to find; or,
-        # when the parent passes its term d > 0, those of the parent's
-        # b*g/d, which the node turns into its own only when it reads them.
+        # least d_min. factors are those of the parent's b*g/d, which the
+        # node turns into its own only when it reads them; a root's parent
+        # is the empty product, with d = b and g = 1. A cofactor past
+        # max_den may stand in them as one prime.
         max_den, best = self.max_den, self.best
         hi = min(max_den, t * b // a)
         # lift lo past the provably dead region: the child's t - 1 terms
@@ -389,9 +389,8 @@ class _Search:
                 hi = min(hi, b * y_floor // (a * y_floor - b))
             if lo > hi:
                 return
-            if factors is not None and hi - lo >= _SCAN_WIDTH:
-                if d:
-                    factors = _child_factors(factors, d, g)
+            if hi - lo >= _SCAN_WIDTH:
+                factors = _child_factors(factors, d, g, max_den)
                 # Every solution is x = j*b/n, y = j*b/m for coprime m < n
                 # with m*n | b and m + n = j*a (Rav). So m*m < b, y <=
                 # max_den needs m >= b/max_den, n > m needs j > 2m/a and
@@ -419,30 +418,28 @@ class _Search:
             return
         if lo > hi:
             return
-        if d and factors is not None:
-            factors = _child_factors(factors, d, g)
-        if factors:
-            # b divides the lcm of the terms, so a prime power r**e of b
-            # past max_den, which no term holds, leaves no form. A prime r
-            # with s = r**e dividing b exactly and L = max_den // (r*s)
-            # splits a three-term node when L <= 2 and 2*L < r: past that
-            # it tries too many k to pay. Of the primes that qualify take
-            # the largest s, whose K = max_den // s is the least. Testing
-            # every prime at every such node costs 5/1993, 5/922 and 7/997
-            # under 1% (median of 41 paired in-process runs, 2-vCPU Xeon
-            # VM), and ends 1671/(2*17**4) at its root in 0.03 ms.
-            q = 0
-            for r, e in factors.items():
-                s = r**e
-                if s > max_den:
-                    return
-                L = max_den // (r * s)
-                if s > q and L <= 2 and 2 * L < r:
-                    p, q = r, s
-            if q and t == 3:
-                # every term is at least lo, the smallest term's bound
-                self.split(a, b, factors, p, q, path, lo)
+        factors = _child_factors(factors, d, g, max_den)
+        # b divides the lcm of the terms, so a prime power r**e of b past
+        # max_den, which no term holds, leaves no form. A prime r with s =
+        # r**e dividing b exactly and L = max_den // (r*s) splits a
+        # three-term node when L <= 2 and 2*L < r: past that it tries too
+        # many k to pay. Of the primes that qualify take the largest s,
+        # whose K = max_den // s is the least. Testing every prime at every
+        # such node costs 5/1993, 5/922 and 7/997 under 1% (median of 41
+        # paired in-process runs, 2-vCPU Xeon VM), and ends 1671/(2*17**4)
+        # at its root in 0.03 ms.
+        q = 0
+        for r, e in factors.items():
+            s = r**e
+            if s > max_den:
                 return
+            L = max_den // (r * s)
+            if s > q and L <= 2 and 2 * L < r:
+                p, q = r, s
+        if q and t == 3:
+            # every term is at least lo, the smallest term's bound
+            self.split(a, b, factors, p, q, path, lo)
+            return
         node = self.node
         for d in range(lo, hi + 1):
             na, nb = a * d - b, b * d
@@ -539,13 +536,7 @@ def _best_k_term(a0: int, b0: int, k: int, policy: DecompositionPolicy, best: _B
         if a0 == 1 and b0 <= policy.max_denominator:
             best.offer((b0,))
         return
-    # The root is factored when trial division, which stops at max_den,
-    # stops by 10**4. A cofactor left over holds only primes past max_den,
-    # which no term holds, so the gate at every node of three or more
-    # terms ends the search there.
-    max_den = policy.max_denominator
-    root_factors = _factorize_small(b0, max_den) if min(max_den, math.isqrt(b0)) <= 10**4 else None
-    _Search(max_den, best).node(a0, b0, root_factors, (), k, 2)
+    _Search(policy.max_denominator, best).node(a0, b0, {}, (), k, 2, b0, 1)
 
 
 def _shortest(a: int, b: int, policy: DecompositionPolicy) -> tuple[bool, list[int]]:

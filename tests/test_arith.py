@@ -364,14 +364,14 @@ def leaf_forms(leaf, b_factors, *, reference=False, y_floor=0):
         return sorted(offers.forms), None
     offers.y_floor = y_floor
     with mock.patch.object(arith, "_divisors_between", wraps=arith._divisors_between) as spy:
-        _Search(max_den, offers).node(a, b, b_factors, (7,), 2, d_min)
+        _Search(max_den, offers).node(a, b, b_factors, (7,), 2, d_min, 1, 1)
     return sorted(offers.forms), "pairs" if spy.called else "scan"
 
 
 class TestTwoTermLeafAgainstReference:
     # the divisor-pair leaf must offer exactly the forms the replaced
     # divisor-of-b-squared leaf offered, on both sides of its switch to
-    # the linear scan and without a factorisation
+    # the linear scan and with a factorisation cut short at max_den
     @given(leaves(xs=(200, 3000), planted_edges=True, smooth=True))
     @settings(max_examples=300, deadline=None)
     def test_divisor_pair_side(self, leaf):
@@ -391,10 +391,11 @@ class TestTwoTermLeafAgainstReference:
     @given(leaves(xs=(10**4, 3 * 10**4), max_y=4 * 10**4, bs=(10**8 + 1, 10**12)))
     @settings(max_examples=60, deadline=None)
     def test_unfactored_denominator(self, leaf):
-        # past 10**8 the search carries no factorisation and always scans
+        # past 10**8 the search factors a root's denominator only up to
+        # max_den, so a cofactor may stand as one prime, and the leaf takes
+        # whichever path its width picks
         assume(leaf[1] > 10**8)
-        got, path = leaf_forms(leaf, None)
-        assert path == "scan"
+        got = leaf_forms(leaf, _factorize_small(leaf[1], leaf[3]))[0]
         assert got == leaf_forms(leaf, _factorize_small(leaf[1]), reference=True)[0]
 
     def test_window_edges(self):
@@ -454,7 +455,8 @@ def floored(data, leaf, factors, near_last=False):
 class TestIncumbentFloor:
     # Given the incumbent's y_floor, a leaf offers exactly the reference
     # leaf's forms whose largest denominator reaches it, on both sides of
-    # the switch to the linear scan and without a factorisation.
+    # the switch to the linear scan and with a factorisation cut short at
+    # max_den.
     @given(leaves(xs=(200, 3000), planted_edges=True, smooth=True), st.data())
     @settings(max_examples=300, deadline=None)
     def test_divisor_pair_side(self, leaf, data):
@@ -474,7 +476,7 @@ class TestIncumbentFloor:
     @settings(max_examples=60, deadline=None)
     def test_unfactored_denominator(self, leaf, data):
         assume(leaf[1] > 10**8)
-        assert floored(data, leaf, None) == "scan"
+        floored(data, leaf, _factorize_small(leaf[1], leaf[3]))
 
     def test_y_floor_matches_a_sieve(self):
         # for every divisor count T up to n = 20000, the floor is the
@@ -732,7 +734,7 @@ def three_term_forms(node, *, reference=False, y_floor=0):
     if reference:
         reference_three_term(a, b, factors, d_min, max_den, (7,), offers)
     else:
-        _Search(max_den, offers).node(a, b, factors, (7,), 3, d_min)
+        _Search(max_den, offers).node(a, b, factors, (7,), 3, d_min, 1, 1)
     return sorted(offers.forms)
 
 
@@ -805,20 +807,21 @@ class TestThreeTermSplit:
     def test_square_of_the_prime_offers_nothing(self):
         # 7/(2*101*101) passes the slack check, and no child is built
         node = (7, 2 * 101 * 101, 2, 10000)
-        with mock.patch.object(arith, "_child_factors", wraps=arith._child_factors) as child:
+        with mock.patch.object(_Search, "node", autospec=True, side_effect=_Search.node) as spy:
             assert three_term_forms(node) == []
-        child.assert_not_called()
+        assert spy.call_count == 1
         assert three_term_forms(node, reference=True) == []
 
     def test_narrow_leaves_build_no_factors(self):
-        # Every leaf of 2/25 at max_den = 1000 has hi - lo <= 168, so each
-        # scans without its denominator's factors; at max_den = 2000 one of
-        # its 24 leaves has hi - lo = 261 and builds them, once.
+        # The level reads its own factors once. Every leaf of 2/25 at
+        # max_den = 1000 has hi - lo <= 168, so each scans without its
+        # denominator's factors; at max_den = 2000 one of its 24 leaves has
+        # hi - lo = 261 and builds them, once.
         assert 168 < arith._SCAN_WIDTH <= 261
         for node, calls in [((2, 25, 2, 1000), 0), ((2, 25, 2, 2000), 1)]:
             with mock.patch.object(arith, "_child_factors", wraps=arith._child_factors) as child:
                 got = three_term_forms(node)
-            assert child.call_count == calls, node
+            assert child.call_count == 1 + calls, node
             assert got and got == three_term_forms(node, reference=True)
 
 
@@ -987,11 +990,8 @@ class TestPrimePowerSplit:
 
     def test_power_past_max_den_ends_every_search_at_its_root(self):
         # 1671/167042 = 1671/(2*17**4): the four-term root, like the
-        # three-term one, ends before it builds a child's factors
-        with mock.patch.object(arith, "_child_factors", wraps=arith._child_factors) as child:
-            with pytest.raises(BoundsExceededError):
-                decompose(F(1671, 167042))
-        child.assert_not_called()
+        # three-term one, ends before it builds a child
+        assert node_term_counts(F(1671, 167042), DEFAULT_POLICY) == [2, 3, 4]
 
     def test_largest_qualifying_power_splits(self):
         # 454997/50964600 = 1/120 + 1/2523 + 1/5050, where b holds 101 once
@@ -1073,9 +1073,18 @@ def is_prime(n):
     return n > 1 and all(n % r for r in range(2, math.isqrt(n) + 1))
 
 
-class TestRootFactorsPastTenToTheEight:
-    # Past 10**8 a root's factors come from trial division up to max_den
-    # when max_den <= 10**4; a cofactor left over stands as one prime past
+def node_term_counts(value, policy):
+    """The term count of each _Search.node call while decompose finds that
+    value has no form under policy."""
+    with mock.patch.object(_Search, "node", autospec=True, side_effect=_Search.node) as node:
+        with pytest.raises(BoundsExceededError):
+            decompose(value, policy)
+    return [call.args[5] for call in node.call_args_list]
+
+
+class TestRootFactors:
+    # A root's factors come from trial division up to max_den, where a node
+    # first reads them; a cofactor left over stands as one prime past
     # max_den, which ends every node of three or more terms.
     def test_bounded_factorisation(self):
         _factorize_small.cache_clear()
@@ -1101,28 +1110,35 @@ class TestRootFactorsPastTenToTheEight:
         # 100003*1009 holds no prime up to 1000, so nothing fits: the
         # search at two, three and four terms is one node each
         policy = DecompositionPolicy(max_terms=4, max_denominator=1000)
-        with mock.patch.object(_Search, "node", autospec=True, side_effect=_Search.node) as node:
-            with pytest.raises(BoundsExceededError):
-                decompose(F(7, 2 * 3 * 100003 * 1009), policy)
-        assert node.call_count == 3
+        assert node_term_counts(F(7, 2 * 3 * 100003 * 1009), policy) == [2, 3, 4]
 
-    def test_root_whose_square_root_is_ten_to_the_four_is_factored(self):
-        # 10**8 < b < 10001**2 stops trial division at isqrt(b) = 10**4, so
-        # the root is factored whatever max_den; its prime 5882353 past
-        # max_den then ends each search of three or more terms at its root
-        b = 10**8 + 1
-        policy = DecompositionPolicy(max_terms=4, max_denominator=2 * 10**4)
-        with mock.patch.object(_Search, "node", autospec=True, side_effect=_Search.node) as node:
-            with pytest.raises(BoundsExceededError):
-                decompose(F(20001, b), policy)
-        assert [call.args[3] for call in node.call_args_list] == [{17: 1, 5882353: 1}] * 3
+    def test_root_past_ten_to_the_eight_is_factored(self):
+        # b = 10**8 + 1 = 17*5882353 and the prime b = 10**9 + 7, each with
+        # max_den past 10**4: the prime past max_den ends each search at
+        # its root. The last two ran for minutes when a root with
+        # min(max_den, sqrt(b)) past 10**4 was searched without its factors.
+        for a, b, max_den in [(20001, 10**8 + 1, 2 * 10**4), (999999, 10**9 + 7, 10**6),
+                              (12345, 10**9 + 7, 10**6)]:
+            policy = DecompositionPolicy(max_terms=4, max_denominator=max_den)
+            assert node_term_counts(F(a, b), policy) == [2, 3, 4], a
 
-    def test_matches_the_unfactored_search(self):
+    def test_empty_window_factors_nothing(self):
+        # 3/(10**15 + 37) at max_den = 10**7 leaves every root's window
+        # empty, so its denominator, whose factoring takes 0.8-0.9 s, is
+        # never factored
+        b = 10**15 + 37
+        policy = DecompositionPolicy(max_terms=4, max_denominator=10**7)
+        with mock.patch.object(arith, "_factorize_small", wraps=arith._factorize_small) as factor:
+            assert node_term_counts(F(3, b), policy) == [2, 3, 4]
+        assert b not in [call.args[0] for call in factor.call_args_list]
+
+    def test_matches_the_fully_factored_search(self):
         # Seeded a/b past 10**8 as the sum of three terms up to 500-2000 or
         # four up to 100-300, and in every second pair of draws with b
         # times a prime past max_den, which leaves no form. Each runs at
-        # two terms up to its own count, against the search with no root
-        # factors, and both offer the same forms.
+        # two terms up to its own count, against the search given b's
+        # complete factors, and at up to three terms against the reference
+        # levels with no factors; all offer the same forms.
         rng = random.Random(2024)
         found = 0
         for i in range(40):
@@ -1137,13 +1153,19 @@ class TestRootFactorsPastTenToTheEight:
                     v = F(v.numerator, v.denominator * prime)
                 if v < 1 and v.denominator > 10**8:
                     break
+            a, b = v.numerator, v.denominator
             for k in range(2, t + 1):
                 policy = DecompositionPolicy(max_terms=k, max_denominator=max_den)
-                factored, unfactored = Offers(), Offers()
-                arith._best_k_term(v.numerator, v.denominator, k, policy, factored)
-                _Search(max_den, unfactored).node(v.numerator, v.denominator, None, (), k, 2)
-                assert sorted(factored.forms) == sorted(unfactored.forms), (v, k, max_den)
-                found += bool(factored.forms)
+                root, complete = Offers(), Offers()
+                arith._best_k_term(a, b, k, policy, root)
+                _Search(max_den, complete).node(a, b, _factorize_small(b), (), k, 2, 1, 1)
+                assert sorted(root.forms) == sorted(complete.forms), (v, k, max_den)
+                if k <= 3:
+                    reference = Offers()
+                    level = reference_two_term_into if k == 2 else reference_three_term
+                    level(a, b, None, 2, max_den, (), reference)
+                    assert sorted(root.forms) == sorted(reference.forms), (v, k, max_den)
+                found += bool(root.forms)
         assert found == 20
 
 
@@ -1303,10 +1325,7 @@ class TestIntegerFrontEnd:
     def test_3_9973_builds_no_child_factors(self):
         # 1/d + three terms of at least 1/10000 exceed 3/9973 for every d in
         # the root's window, so the slack check ends the search at its root
-        with mock.patch.object(arith, "_child_factors", wraps=arith._child_factors) as spy:
-            with pytest.raises(BoundsExceededError):
-                decompose(F(3, 9973))
-        assert spy.call_count == 0
+        assert node_term_counts(F(3, 9973), DEFAULT_POLICY) == [2, 3, 4]
 
 
 def test_benchmark_search_golden():
