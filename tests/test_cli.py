@@ -1,3 +1,4 @@
+import inspect
 import json
 import shlex
 import sys
@@ -124,6 +125,54 @@ class TestArithmeticCommands:
         assert code == 0
         for token in ("an", "Katze", "Maus", "Gerste", "Maass", "16807", "19607"):
             assert token in out
+
+
+# The commands that take the policy flags, each with its required
+# arguments and the policy the flags default to.
+POLICY_COMMANDS = {
+    "decompose": (["7/10"], arith.DEFAULT_POLICY),
+    "table2n": ([], arith.TABLE_POLICY),
+    "loaves": (["6", "10"], arith.DEFAULT_POLICY),
+    "hau": (["--multiplier", "1,1/7", "--target", "19"], arith.DEFAULT_POLICY),
+}
+
+
+def policy_fields(policy) -> dict:
+    return {name: getattr(policy, name) for name in inspect.signature(type(policy)).parameters}
+
+
+def flag_away_from(field, base) -> tuple[list[str], object]:
+    """The arguments that set ``field`` to a value other than its value in ``base``."""
+    flag, value = {
+        "strategy": ("--strategy", arith.GREEDY),
+        "max_terms": ("--max-terms", 3),
+        "max_denominator": ("--max-denominator", 500),
+        "prefer_divisor_rich": ("--divisor-rich", not base.prefer_divisor_rich),
+        "allow_two_thirds": ("--two-thirds", not base.allow_two_thirds),
+    }[field]
+    if isinstance(value, bool):
+        return [flag if value else "--no-" + flag[2:]], value
+    return [flag, str(value)], value
+
+
+class TestPolicyFlags:
+    def test_policy_commands_are_the_ones_with_policy_flags(self):
+        with_flags = {name for name in COMMAND_NAMES if "--max-terms" in build_parser(name).format_usage()}
+        assert with_flags == set(POLICY_COMMANDS)
+
+    @pytest.mark.parametrize("name", POLICY_COMMANDS)
+    def test_no_flags_give_the_command_policy(self, name):
+        required, base = POLICY_COMMANDS[name]
+        assert cli._policy(cli.parse_args([name, *required])) == base
+
+    @pytest.mark.parametrize("field", policy_fields(arith.DEFAULT_POLICY))
+    @pytest.mark.parametrize("name", POLICY_COMMANDS)
+    def test_each_flag_changes_only_its_own_field(self, name, field):
+        required, base = POLICY_COMMANDS[name]
+        flag, value = flag_away_from(field, base)
+        assert value != getattr(base, field)
+        got = cli._policy(cli.parse_args([name, *required, *flag]))
+        assert policy_fields(got) == {**policy_fields(base), field: value}
 
 
 class TestGeometryCommands:

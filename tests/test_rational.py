@@ -204,3 +204,83 @@ class TestParseAgainstReference:
     def test_multi_term_sums(self, parts):
         text = " + ".join(render_rational(x) for x in parts)
         assert parse_rational(text) == sum(parts) == reference_parse_rational(text)
+
+
+# Each input with the exact result or the exact message it gets: the
+# grammar is an optional integer, then an optional 2/3, then 1/d terms.
+UNIT_SUM_OUTCOMES = {
+    "16 + 1/2 + 1/8": UnitFractionSum(16, False, (2, 8)),
+    "0": UnitFractionSum(0),
+    "2/3": UnitFractionSum(0, True, ()),
+    "3 + 2/3 + 1/6": UnitFractionSum(3, True, (6,)),
+    "1/2 + 5": (ValueError, "term '5' is not a unit fraction in '1/2 + 5'"),
+    "2/3 + 2/3": (ValueError, "term '2/3' is not a unit fraction in '2/3 + 2/3'"),
+    "1/2 + 2/3": (ValueError, "term '2/3' is not a unit fraction in '1/2 + 2/3'"),
+    "2/3 + 3": (ValueError, "term '3' is not a unit fraction in '2/3 + 3'"),
+    "-1": (ValueError, "unit-fraction sums are non-negative, got '-1'"),
+    "1/2 +": (ValueError, "cannot parse unit-fraction sum from '1/2 +'"),
+    "1/1": (ValueError, "unit-fraction denominator must be an integer >= 2, got 1"),
+    "1/0": (ValueError, "unit-fraction denominator must be an integer >= 2, got 0"),
+    "x": (ValueError, "invalid literal for int() with base 10: 'x'"),
+}
+
+
+def reference_parse_unit_fraction_sum(text: str) -> UnitFractionSum:
+    """The earlier parse_unit_fraction_sum, a three-state machine over the terms."""
+    tokens = [t.strip() for t in text.strip().split("+")]
+    if not tokens or any(not t for t in tokens):
+        raise ValueError(f"cannot parse unit-fraction sum from {text!r}")
+    integer_part = 0
+    two_thirds = False
+    denominators: list[int] = []
+    state = "integer"  # integer -> two_thirds -> units
+    for tok in tokens:
+        if state == "integer" and "/" not in tok:
+            integer_part = int(tok)
+            if integer_part < 0:
+                raise ValueError(f"unit-fraction sums are non-negative, got {text!r}")
+            state = "two_thirds"
+            continue
+        if state in ("integer", "two_thirds") and tok == "2/3":
+            two_thirds = True
+            state = "units"
+            continue
+        m = re.match(r"^1/(\d+)$", tok)
+        if not m:
+            raise ValueError(f"term {tok!r} is not a unit fraction in {text!r}")
+        denominators.append(int(m.group(1)))
+        state = "units"
+    return UnitFractionSum(integer_part, two_thirds, tuple(denominators))
+
+
+_unit_sum_terms = (
+    _digits
+    | _digits.map("-{}".format)
+    | _digits.map("1/{}".format)
+    | st.sampled_from(["2/3", "1/1", "1/0", "3/4", "2/6", "1/ 2", "1 2", "1_000", "1/1_0", "+1",
+                       "x", "1/x", "٣", "1/٣", "1/2/3", "2/3 "])
+    | _malformed_terms
+)
+
+
+@st.composite
+def _unit_sum_texts(draw):
+    tokens = draw(st.lists(_unit_sum_terms, min_size=1, max_size=5))
+    text = "+".join(draw(_spaces) + tok + draw(_spaces) for tok in tokens)
+    return draw(_spaces) + text + draw(_spaces)
+
+
+class TestParseUnitFractionSum:
+    @pytest.mark.parametrize("text", UNIT_SUM_OUTCOMES)
+    def test_result_or_message_pinned(self, text):
+        assert _outcome(parse_unit_fraction_sum, text) == UNIT_SUM_OUTCOMES[text]
+
+    @settings(max_examples=600)
+    @given(_unit_sum_texts() | st.text(max_size=12))
+    @example("7 + 2/3 + 1/4 + 1/28")
+    @example("2/3 + 1/2 + 1/2")
+    @example("05 + 1/02")
+    def test_same_value_or_same_error_as_the_state_machine(self, text):
+        assert _outcome(parse_unit_fraction_sum, text) == _outcome(
+            reference_parse_unit_fraction_sum, text
+        )
