@@ -79,6 +79,10 @@ class DecompositionPolicy:
                 raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}")
+        for name in ("prefer_divisor_rich", "allow_two_thirds"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise TypeError(f"{name} must be a bool, got {type(value).__name__}")
 
 
 DEFAULT_POLICY = DecompositionPolicy()

@@ -30,32 +30,23 @@ def _rational_terms(text: str) -> list[Fraction]:
     return [_rational(part) for part in text.split(",") if part.strip()]
 
 
-def _add_policy_flags(parser, base: arith.DecompositionPolicy) -> None:
-    parser.add_argument("--strategy", choices=arith.STRATEGIES, default=base.strategy)
-    parser.add_argument("--max-terms", type=int, default=base.max_terms)
-    parser.add_argument("--max-denominator", type=int, default=base.max_denominator)
-    parser.add_argument(
-        "--two-thirds",
+# One row per DecompositionPolicy field, in help order: the field, its flag
+# and its argparse keywords. Each flag stores under its field and defaults
+# to the command's own policy.
+_POLICY_FLAGS = (
+    ("strategy", "--strategy", dict(choices=arith.STRATEGIES)),
+    ("max_terms", "--max-terms", dict(type=int)),
+    ("max_denominator", "--max-denominator", dict(type=int)),
+    ("allow_two_thirds", "--two-thirds", dict(
+        action=argparse.BooleanOptionalAction, help="allow the 2/3 primitive as a term")),
+    ("prefer_divisor_rich", "--divisor-rich", dict(
         action=argparse.BooleanOptionalAction,
-        default=base.allow_two_thirds,
-        help="allow the 2/3 primitive as a term",
-    )
-    parser.add_argument(
-        "--divisor-rich",
-        action=argparse.BooleanOptionalAction,
-        default=base.prefer_divisor_rich,
-        help="tie-break toward divisor-rich largest denominators",
-    )
+        help="tie-break toward divisor-rich largest denominators")),
+)
 
 
 def _policy(args) -> arith.DecompositionPolicy:
-    return arith.DecompositionPolicy(
-        strategy=args.strategy,
-        max_terms=args.max_terms,
-        max_denominator=args.max_denominator,
-        prefer_divisor_rich=args.divisor_rich,
-        allow_two_thirds=args.two_thirds,
-    )
+    return arith.DecompositionPolicy(**{field: getattr(args, field) for field, *_ in _POLICY_FLAGS})
 
 
 # Each handler returns its output in args.format; records whose CSV is
@@ -379,7 +370,8 @@ def _add_command_arguments(parser, name, arguments, policy, fn) -> None:
     for flags, kwargs in arguments:
         parser.add_argument(*flags, **kwargs)
     if policy is not None:
-        _add_policy_flags(parser, policy)
+        for field, flag, kwargs in _POLICY_FLAGS:
+            parser.add_argument(flag, dest=field, default=getattr(policy, field), **kwargs)
     parser.add_argument("--format", choices=FORMATS, default="text")
     parser.set_defaults(fn=fn, command=name)
 

@@ -413,10 +413,7 @@ def _convex_hull(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
     def build(seq):
         chain: list[tuple[int, int]] = []
         for p in seq:
-            while len(chain) >= 2 and (
-                (chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
-                - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])
-            ) <= 0:
+            while len(chain) >= 2 and _orient(chain[-2], chain[-1], p) <= 0:
                 chain.pop()
             chain.append(p)
         return chain

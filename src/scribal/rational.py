@@ -20,6 +20,7 @@ from fractions import Fraction
 Rational = Fraction
 
 _TERM_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+_UNIT_RE = re.compile(r"1/(\d+)")
 
 
 def as_rational(x: int | Fraction) -> Fraction:
@@ -62,8 +63,10 @@ class UnitFractionSum:
         self, integer_part: int = 0, two_thirds: bool = False, denominators: tuple[int, ...] = ()
     ) -> None:
         denominators = tuple(denominators)
-        if not isinstance(integer_part, int) or integer_part < 0:
+        if not isinstance(integer_part, int) or isinstance(integer_part, bool) or integer_part < 0:
             raise ValueError(f"integer part must be a non-negative integer, got {integer_part!r}")
+        if not isinstance(two_thirds, bool):
+            raise ValueError(f"two_thirds must be a bool, got {two_thirds!r}")
         prev = 1
         for d in denominators:
             if not isinstance(d, int) or d < 2:
@@ -165,26 +168,18 @@ def parse_unit_fraction_sum(text: str) -> UnitFractionSum:
     strictly increasing denominators. Round-trips exactly.
     """
     tokens = [t.strip() for t in text.strip().split("+")]
-    if not tokens or any(not t for t in tokens):
+    if any(not t for t in tokens):
         raise ValueError(f"cannot parse unit-fraction sum from {text!r}")
     integer_part = 0
-    two_thirds = False
-    denominators: list[int] = []
-    state = "integer"  # integer -> two_thirds -> units
-    for tok in tokens:
-        if state == "integer" and "/" not in tok:
-            integer_part = int(tok)
-            if integer_part < 0:
-                raise ValueError(f"unit-fraction sums are non-negative, got {text!r}")
-            state = "two_thirds"
-            continue
-        if state in ("integer", "two_thirds") and tok == "2/3":
-            two_thirds = True
-            state = "units"
-            continue
-        m = re.match(r"^1/(\d+)$", tok)
-        if not m:
+    if "/" not in tokens[0]:
+        integer_part = int(tokens.pop(0))
+        if integer_part < 0:
+            raise ValueError(f"unit-fraction sums are non-negative, got {text!r}")
+    two_thirds = tokens[:1] == ["2/3"]
+    denominators = []
+    for tok in tokens[1:] if two_thirds else tokens:
+        m = _UNIT_RE.fullmatch(tok)
+        if m is None:
             raise ValueError(f"term {tok!r} is not a unit fraction in {text!r}")
         denominators.append(int(m.group(1)))
-        state = "units"
     return UnitFractionSum(integer_part, two_thirds, tuple(denominators))

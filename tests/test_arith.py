@@ -1612,3 +1612,11 @@ class TestPolicy:
             kind = type(value).__name__
             with pytest.raises(TypeError, match=f"^{field} must be an integer, got {kind}$"):
                 DecompositionPolicy(strategy=GREEDY, **{field: value})
+
+    def test_flags_must_be_bools(self):
+        # "no" is truthy, so allow_two_thirds="no" would write 7/10 as 2/3 + 1/30
+        for field, value in [("allow_two_thirds", "no"), ("allow_two_thirds", 0),
+                             ("prefer_divisor_rich", 1), ("prefer_divisor_rich", None)]:
+            kind = type(value).__name__
+            with pytest.raises(TypeError, match=f"^{field} must be a bool, got {kind}$"):
+                DecompositionPolicy(**{field: value})

@@ -169,6 +169,15 @@ class TestUnitFractionSum:
         with pytest.raises(ValueError, match=r"^denominators must be strictly increasing, got \(3, 2\)$"):
             UnitFractionSum(0, False, [3, 2])
 
+    def test_flags_of_the_wrong_type_refused(self):
+        # a bool integer part rendered as "True"; a non-bool marker counted
+        # 2/3 in the value yet compared unequal to the True marker
+        with pytest.raises(ValueError, match=r"^integer part must be a non-negative integer, got True$"):
+            UnitFractionSum(True)
+        for marker in ("no", 1, 0, None):
+            with pytest.raises(ValueError, match=f"^two_thirds must be a bool, got {marker!r}$"):
+                UnitFractionSum(0, marker, (2,))
+
 
 class TestHauProblem:
     def test_fields_coerced(self):
