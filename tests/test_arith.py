@@ -85,8 +85,10 @@ class TestDecomposeExamples:
 
     @pytest.mark.parametrize("strategy", [GREEDY, SPLITTING, SHORTEST_SEARCH])
     def test_unit_fraction_stays_put(self, strategy):
-        u = decompose(F(1, 7), DecompositionPolicy(strategy=strategy))
-        assert u.denominators == (7,) and not u.two_thirds and u.integer_part == 0
+        # one term is enough, so a one-term bound changes nothing
+        for max_terms in (4, 1):
+            u = decompose(F(1, 7), DecompositionPolicy(strategy=strategy, max_terms=max_terms))
+            assert u.denominators == (7,) and not u.two_thirds and u.integer_part == 0
 
     def test_2_99_two_terms(self):
         u = decompose(F(2, 99))
@@ -194,11 +196,14 @@ class TestShortestSearch:
         assert decompose(F(8, 11)) == decompose(F(8, 11))
 
     def test_bounds_exceeded(self):
-        with pytest.raises(BoundsExceededError) as exc_info:
-            decompose(F(1, 10001), DecompositionPolicy())
-        err = exc_info.value
-        assert err.max_terms == 4 and err.max_denominator == 10000
-        assert "max_terms=4" in str(err) and "max_denominator=10000" in str(err)
+        # a one-term form, of the value or of its rest after 2/3, past
+        # max_denominator, and no longer form within the bounds
+        for value in (F(1, 10001), F(2, 3) + F(1, 20000)):
+            with pytest.raises(BoundsExceededError) as exc_info:
+                decompose(value, DecompositionPolicy())
+            err = exc_info.value
+            assert err.max_terms == 4 and err.max_denominator == 10000
+            assert "max_terms=4" in str(err) and "max_denominator=10000" in str(err)
 
     def test_readme_slow_values(self):
         # the values the README names, about 1 s each before the search
