@@ -532,36 +532,27 @@ class _Search:
                     best.offer(path + (q * k1, q * k2, q * k3))
 
 
-def _best_k_term(a0: int, b0: int, k: int, policy: DecompositionPolicy, best: _BestCandidate) -> None:
-    # feed every k-term distinct unit-fraction decomposition of a0/b0
-    # (0 < a0 < b0 in lowest terms; all denominators <= max_denominator)
-    # into the running best
-    if k == 1:
-        if a0 == 1 and b0 <= policy.max_denominator:
-            best.offer((b0,))
-        return
-    _Search(policy.max_denominator, best).node(a0, b0, {}, (), k, 2, b0, 1)
-
-
 def _shortest(a: int, b: int, policy: DecompositionPolicy) -> tuple[bool, list[int]]:
     # 0 < a/b < 1 in lowest terms. Minimal term count wins; at equal length
     # a form using the 2/3 primitive is preferred, then the policy
-    # tie-break on denominators.
-    rest = None
+    # tie-break on denominators. Each search is (2/3 used, its value, the
+    # terms 2/3 takes), the rest after 2/3 first.
+    searches = [(False, a, b, 0)]
     if policy.allow_two_thirds and 3 * a >= 2 * b:
         if (a, b) == (2, 3):
             return True, []
-        rest = _minus_two_thirds(a, b)
+        searches.insert(0, (True, *_minus_two_thirds(a, b), 1))
+    max_den = policy.max_denominator
     for k in range(1, policy.max_terms + 1):
-        if rest is not None and k > 1:
-            best = _BestCandidate(policy)
-            _best_k_term(*rest, k - 1, policy, best)
-            if best.dens is not None:
-                return True, list(best.dens)
-        best = _BestCandidate(policy)
-        _best_k_term(a, b, k, policy, best)
-        if best.dens is not None:
-            return False, list(best.dens)
+        for marker, a0, b0, used in searches:
+            t = k - used
+            if t == 1 and a0 == 1 and b0 <= max_den:
+                return marker, [b0]
+            if t >= 2:
+                best = _BestCandidate(policy)
+                _Search(max_den, best).node(a0, b0, {}, (), t, 2, b0, 1)
+                if best.dens is not None:
+                    return marker, list(best.dens)
     raise BoundsExceededError(
         f"no decomposition of {a}/{b} within max_terms={policy.max_terms} "
         f"and max_denominator={policy.max_denominator}",
@@ -701,7 +692,7 @@ def duplation_multiply(a: int, b: int) -> DuplationResult:
     A factor of more than ``DUPLATION_MAX_DIGITS`` digits is refused before
     any row is built.
     """
-    if not (isinstance(a, int) and isinstance(b, int)) or a < 1 or b < 1:
+    if any(not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in (a, b)):
         raise ValueError("duplation multiplies positive integers")
     # 2**(4*d) > 10**d: the bit count alone rules out a huge factor, and
     # below that count the exact comparison is cheap
@@ -722,7 +713,7 @@ def divide_loaves(
     loaves: int, men: int, policy: DecompositionPolicy = DEFAULT_POLICY
 ) -> UnitFractionSum:
     """Each man's share when dividing loaves equally, in scribal notation."""
-    if not (isinstance(loaves, int) and isinstance(men, int)) or loaves < 1 or men < 1:
+    if any(not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in (loaves, men)):
         raise ValueError("loaf division needs positive integer loaves and men")
     return decompose(Fraction(loaves, men), policy)
 

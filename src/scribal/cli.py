@@ -70,7 +70,7 @@ def _cmd_table2n(args) -> str:
 
 def _cmd_mul(args) -> str:
     result = arith.duplation_multiply(args.a, args.b)
-    rows = [{"power": r.power, "value": r.value, "selected": r.selected} for r in result.rows]
+    rows = [r._asdict() for r in result.rows]
     doc = {"a": result.multiplier, "b": result.multiplicand, "product": result.product, "rows": rows}
     csv_rows = [{**row, "selected": int(row["selected"])} for row in rows]
     return render(args.format, result.render(), doc, rows=csv_rows)

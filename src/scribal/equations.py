@@ -65,12 +65,7 @@ class FalsePositionTrace(NamedTuple):
         )
 
     def as_dict(self) -> dict[str, str]:
-        return {
-            "guess": str(self.guess),
-            "trial_result": str(self.trial_result),
-            "scale_factor": str(self.scale_factor),
-            "answer": str(self.answer),
-        }
+        return {name: str(value) for name, value in self._asdict().items()}
 
 
 def solve_hau_false_position(
@@ -147,7 +142,7 @@ def geometric_ladder(base: int, top_exponent: int) -> GeometricLadder:
     rungs, or with a top rung of more than ``LADDER_MAX_DIGITS`` digits,
     is refused before any rung is computed.
     """
-    if not (isinstance(base, int) and isinstance(top_exponent, int)):
+    if any(not isinstance(n, int) or isinstance(n, bool) for n in (base, top_exponent)):
         raise ValueError("ladder takes integer base and exponent")
     if base < 1 or top_exponent < 1:
         raise ValueError("ladder needs base >= 1 and top exponent >= 1")

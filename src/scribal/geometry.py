@@ -261,10 +261,6 @@ AREA_RULES = {
 LatticePoint = tuple[int, int]
 
 
-def _as_points(vertices: Sequence[tuple[Fraction | int, Fraction | int]]) -> list[Point]:
-    return [(as_rational(x), as_rational(y)) for x, y in vertices]
-
-
 def _orient(a: LatticePoint, b: LatticePoint, c: LatticePoint) -> int:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
@@ -300,7 +296,7 @@ def _simple_lattice(
     vertices: Sequence[tuple[Fraction | int, Fraction | int]],
 ) -> tuple[list[Point], list[LatticePoint], int]:
     """Validate a simple polygon; return its points, lattice points and scale."""
-    pts = _as_points(vertices)
+    pts = [(as_rational(x), as_rational(y)) for x, y in vertices]
     n = len(pts)
     if n < 3:
         raise ValueError("a polygon needs at least 3 vertices")
@@ -492,7 +488,7 @@ def rational_right_triangles(perimeter_limit: int) -> list[tuple[int, int, int]]
 
 
 def _check_parts(parts: int) -> int:
-    if not isinstance(parts, int) or parts < 1:
+    if not isinstance(parts, int) or isinstance(parts, bool) or parts < 1:
         raise ValueError("parts per unit must be an integer >= 1")
     return parts
 

@@ -20,7 +20,11 @@ from fractions import Fraction
 Rational = Fraction
 
 _TERM_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
-_UNIT_RE = re.compile(r"1/(\d+)")
+# the tokens render writes, in ASCII digits with no leading zero; 1/0 passes
+# so that UnitFractionSum names the bad denominator
+_INTEGER_RE = re.compile(r"0|[1-9][0-9]*")
+_NEGATIVE_RE = re.compile(r"-[0-9]+")
+_UNIT_RE = re.compile(r"1/(0|[1-9][0-9]*)")
 
 
 def as_rational(x: int | Fraction) -> Fraction:
@@ -165,16 +169,15 @@ def parse_unit_fraction_sum(text: str) -> UnitFractionSum:
 
     Accepts exactly the shapes ``render`` produces: an optional leading
     integer, an optional single ``2/3``, then unit fractions ``1/d`` with
-    strictly increasing denominators. Round-trips exactly.
+    strictly increasing denominators, every number in ASCII digits with no
+    leading zero. Round-trips exactly.
     """
     tokens = [t.strip() for t in text.strip().split("+")]
     if any(not t for t in tokens):
         raise ValueError(f"cannot parse unit-fraction sum from {text!r}")
-    integer_part = 0
-    if "/" not in tokens[0]:
-        integer_part = int(tokens.pop(0))
-        if integer_part < 0:
-            raise ValueError(f"unit-fraction sums are non-negative, got {text!r}")
+    if _NEGATIVE_RE.fullmatch(tokens[0]):
+        raise ValueError(f"unit-fraction sums are non-negative, got {text!r}")
+    integer_part = int(tokens.pop(0)) if _INTEGER_RE.fullmatch(tokens[0]) else 0
     two_thirds = tokens[:1] == ["2/3"]
     denominators = []
     for tok in tokens[1:] if two_thirds else tokens:

@@ -1160,9 +1160,8 @@ class TestRootFactors:
                     break
             a, b = v.numerator, v.denominator
             for k in range(2, t + 1):
-                policy = DecompositionPolicy(max_terms=k, max_denominator=max_den)
                 root, complete = Offers(), Offers()
-                arith._best_k_term(a, b, k, policy, root)
+                _Search(max_den, root).node(a, b, {}, (), k, 2, b, 1)
                 _Search(max_den, complete).node(a, b, _factorize_small(b), (), k, 2, 1, 1)
                 assert sorted(root.forms) == sorted(complete.forms), (v, k, max_den)
                 if k <= 3:

@@ -207,7 +207,8 @@ class TestParseAgainstReference:
 
 
 # Each input with the exact result or the exact message it gets: the
-# grammar is an optional integer, then an optional 2/3, then 1/d terms.
+# grammar is an optional integer, then an optional 2/3, then 1/d terms,
+# every number in ASCII digits with no leading zero.
 UNIT_SUM_OUTCOMES = {
     "16 + 1/2 + 1/8": UnitFractionSum(16, False, (2, 8)),
     "0": UnitFractionSum(0),
@@ -221,12 +222,18 @@ UNIT_SUM_OUTCOMES = {
     "1/2 +": (ValueError, "cannot parse unit-fraction sum from '1/2 +'"),
     "1/1": (ValueError, "unit-fraction denominator must be an integer >= 2, got 1"),
     "1/0": (ValueError, "unit-fraction denominator must be an integer >= 2, got 0"),
-    "x": (ValueError, "invalid literal for int() with base 10: 'x'"),
+    "x": (ValueError, "term 'x' is not a unit fraction in 'x'"),
+    "1_000 + 1/2": (ValueError, "term '1_000' is not a unit fraction in '1_000 + 1/2'"),
+    "05 + 1/02": (ValueError, "term '05' is not a unit fraction in '05 + 1/02'"),
+    "٣ + 1/٤": (ValueError, "term '٣' is not a unit fraction in '٣ + 1/٤'"),
+    "1/02": (ValueError, "term '1/02' is not a unit fraction in '1/02'"),
+    "-0": (ValueError, "unit-fraction sums are non-negative, got '-0'"),
 }
 
 
 def reference_parse_unit_fraction_sum(text: str) -> UnitFractionSum:
-    """The earlier parse_unit_fraction_sum, a three-state machine over the terms."""
+    """The earlier parse_unit_fraction_sum, a three-state machine over the terms,
+    with the same token rules."""
     tokens = [t.strip() for t in text.strip().split("+")]
     if not tokens or any(not t for t in tokens):
         raise ValueError(f"cannot parse unit-fraction sum from {text!r}")
@@ -235,17 +242,17 @@ def reference_parse_unit_fraction_sum(text: str) -> UnitFractionSum:
     denominators: list[int] = []
     state = "integer"  # integer -> two_thirds -> units
     for tok in tokens:
-        if state == "integer" and "/" not in tok:
+        if state == "integer" and re.fullmatch(r"-[0-9]+", tok):
+            raise ValueError(f"unit-fraction sums are non-negative, got {text!r}")
+        if state == "integer" and re.fullmatch(r"0|[1-9][0-9]*", tok):
             integer_part = int(tok)
-            if integer_part < 0:
-                raise ValueError(f"unit-fraction sums are non-negative, got {text!r}")
             state = "two_thirds"
             continue
         if state in ("integer", "two_thirds") and tok == "2/3":
             two_thirds = True
             state = "units"
             continue
-        m = re.match(r"^1/(\d+)$", tok)
+        m = re.fullmatch(r"1/(0|[1-9][0-9]*)", tok)
         if not m:
             raise ValueError(f"term {tok!r} is not a unit fraction in {text!r}")
         denominators.append(int(m.group(1)))

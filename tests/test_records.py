@@ -220,3 +220,19 @@ class TestSideQuad:
         assert q._replace(d=0) == SideQuad(3, 4, 5, 0)
         with pytest.raises(ValueError, match="side a"):
             q._replace(a=-1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda n: arith.duplation_multiply(n, 3), "duplation multiplies positive integers"),
+    (lambda n: arith.duplation_multiply(3, n), "duplation multiplies positive integers"),
+    (lambda n: arith.divide_loaves(n, 2), "loaf division needs positive integer loaves and men"),
+    (lambda n: arith.divide_loaves(2, n), "loaf division needs positive integer loaves and men"),
+    (lambda n: equations.geometric_ladder(n, 3), "ladder takes integer base and exponent"),
+    (lambda n: equations.geometric_ladder(3, n), "ladder takes integer base and exponent"),
+    (lambda n: geometry.seked_from(4, 2, n), "parts per unit must be an integer >= 1"),
+], ids=["multiplier", "multiplicand", "loaves", "men", "base", "top_exponent", "parts"])
+def test_a_bool_is_refused_like_a_non_integer(call, message):
+    for value in (True, False, F(3)):
+        with pytest.raises(ValueError) as exc_info:
+            call(value)
+        assert str(exc_info.value) == message, value
