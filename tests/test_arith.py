@@ -19,6 +19,7 @@ from scribal.arith import (
     MULTIPLICATIVE,
     SHORTEST_SEARCH,
     SPLITTING,
+    STRATEGIES,
     TABLE_POLICY,
     BoundsExceededError,
     DecompositionPolicy,
@@ -103,6 +104,9 @@ class TestDecomposeExamples:
         u = decompose(F(133, 8))
         assert u.integer_part == 16
         assert u.value() == F(133, 8)
+        # the part left after the whole is exactly 2/3 under every strategy
+        for strategy in STRATEGIES:
+            assert decompose(F(5, 3), DecompositionPolicy(strategy=strategy)).render() == "1 + 2/3"
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
@@ -1292,7 +1296,7 @@ class TestIntegerFrontEnd:
     def test_on_and_next_to_two_thirds(self, strategy, allow_two_thirds):
         policy = DecompositionPolicy(strategy=strategy, allow_two_thirds=allow_two_thirds)
         near = (F(665, 999), F(667, 1000), F(666, 1000), F(1999, 3000), F(2001, 3000))
-        for value in (F(2, 3), F(5, 3)) + near:
+        for value in (F(2, 3), F(5, 3), F(5, 6), F(7, 10)) + near:
             assert decompose(value, policy) == reference_decompose(value, policy), value
 
     @given(
