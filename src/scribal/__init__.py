@@ -78,7 +78,6 @@ from .rational import (
     UnitFractionSum,
     parse_rational,
     parse_unit_fraction_sum,
-    render_rational,
 )
 
 __version__ = "0.1.0"

@@ -113,14 +113,6 @@ def _minus_two_thirds(a: int, b: int) -> tuple[int, int]:
     return a // g, b // g
 
 
-def _greedy(a: int, b: int, allow_two_thirds: bool) -> tuple[bool, list[int]]:
-    # 0 < a/b < 1 in lowest terms. The 2/3 primitive is itself the largest
-    # available term whenever it fits and is allowed.
-    if allow_two_thirds and 3 * a >= 2 * b:
-        return True, _greedy_unit_denominators(*_minus_two_thirds(a, b))
-    return False, _greedy_unit_denominators(a, b)
-
-
 # Splitting steps resolve_duplicates takes before it gives up; no sane
 # input cascades this far.
 _DUPLICATE_STEP_LIMIT = 100_000
@@ -151,17 +143,15 @@ def resolve_duplicates(denominators: list[int], incoming: list[int]) -> list[int
     return sorted(have)
 
 
-def _splitting(a: int, b: int, allow_two_thirds: bool) -> tuple[bool, list[int]]:
+def _splitting(a: int, b: int) -> list[int]:
     # 0 < a/b < 1 in lowest terms. A value already written as a single term
     # stays put; otherwise decompose half of it greedily and combine the two
     # halves, resolving every duplicate with the splitting identity. The
     # half, a/2 over b for even a or a over 2b for odd a, is in lowest terms.
     if a == 1:
-        return False, [b]
-    if allow_two_thirds and (a, b) == (2, 3):
-        return True, []
+        return [b]
     half = _greedy_unit_denominators(a // 2, b) if a % 2 == 0 else _greedy_unit_denominators(a, 2 * b)
-    return False, resolve_duplicates(half, half)
+    return resolve_duplicates(half, half)
 
 
 @lru_cache(maxsize=200_000)
@@ -532,16 +522,16 @@ class _Search:
                     best.offer(path + (q * k1, q * k2, q * k3))
 
 
-def _shortest(a: int, b: int, policy: DecompositionPolicy) -> tuple[bool, list[int]]:
-    # 0 < a/b < 1 in lowest terms. Minimal term count wins; at equal length
-    # a form using the 2/3 primitive is preferred, then the policy
-    # tie-break on denominators. Each search is (2/3 used, its value, the
-    # terms 2/3 takes), the rest after 2/3 first.
+def _shortest(
+    a: int, b: int, rest: tuple[int, int] | None, policy: DecompositionPolicy
+) -> tuple[bool, list[int]]:
+    # 0 < a/b < 1 in lowest terms; rest is a/b - 2/3 where a form may use
+    # 2/3. Minimal term count wins; at equal length a form using 2/3 is
+    # preferred, then the policy tie-break on denominators. Each search is
+    # (2/3 used, its value, the terms 2/3 takes), the rest after 2/3 first.
     searches = [(False, a, b, 0)]
-    if policy.allow_two_thirds and 3 * a >= 2 * b:
-        if (a, b) == (2, 3):
-            return True, []
-        searches.insert(0, (True, *_minus_two_thirds(a, b), 1))
+    if rest:
+        searches.insert(0, (True, *rest, 1))
     max_den = policy.max_denominator
     for k in range(1, policy.max_terms + 1):
         for marker, a0, b0, used in searches:
@@ -574,12 +564,17 @@ def decompose(r: Fraction | int, policy: DecompositionPolicy = DEFAULT_POLICY) -
     integer_part, a = divmod(a, b)
     if a == 0:
         return UnitFractionSum(integer_part)
+    # what is left after 2/3, where the form may use it
+    rest = _minus_two_thirds(a, b) if policy.allow_two_thirds and 3 * a >= 2 * b else None
+    if rest == (0, 1):
+        return UnitFractionSum(integer_part, True)
     if policy.strategy == GREEDY:
-        marker, dens = _greedy(a, b, policy.allow_two_thirds)
+        # 2/3 is itself the largest term whenever it fits
+        marker, dens = rest is not None, _greedy_unit_denominators(*(rest or (a, b)))
     elif policy.strategy == SPLITTING:
-        marker, dens = _splitting(a, b, policy.allow_two_thirds)
+        marker, dens = False, _splitting(a, b)
     else:
-        marker, dens = _shortest(a, b, policy)
+        marker, dens = _shortest(a, b, rest, policy)
     return UnitFractionSum(integer_part, marker, tuple(dens))
 
 
@@ -598,7 +593,7 @@ class TableEntry(NamedTuple):
 
 
 def table_2_over_n(
-    policy: DecompositionPolicy | None = None,
+    policy: DecompositionPolicy = TABLE_POLICY,
     *,
     n_max: int = 99,
     include_even: bool = False,
@@ -612,8 +607,6 @@ def table_2_over_n(
     """
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
-    if policy is None:
-        policy = TABLE_POLICY
     entries: list[TableEntry] = []
     for n in range(3, n_max + 1):
         if n % 2 == 0 and not include_even:

@@ -17,9 +17,8 @@ from typing import NamedTuple, Sequence
 
 from .rational import as_rational, validating_namedtuple
 
-# 50 decimal digits of pi; lower bound by truncation.
+# 50 decimal digits of pi; truncated, they give lower bounds.
 _PI_DIGITS = "314159265358979323846264338327950288419716939937510"
-PI_LOWER = Fraction(int(_PI_DIGITS), 10 ** (len(_PI_DIGITS) - 1))
 
 # Working precision for square-root bounds; far beyond the 12 digits the
 # reports promise, so interval width never masks a genuine inequality.
@@ -213,9 +212,6 @@ class SideQuad(validating_namedtuple("SideQuad", "a b c d")):
         if sum(1 for s in sides if s == 0) > 1:
             raise ValueError("at most one side may be zero")
         return super().__new__(cls, *sides)
-
-    def sides(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c, self.d)
 
 
 def edfu_area(q: SideQuad) -> Fraction:

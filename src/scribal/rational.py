@@ -136,11 +136,6 @@ class UnitFractionSum:
         return self.render()
 
 
-def render_rational(x: Fraction) -> str:
-    """Canonical text form: ``133/8``, ``-3/4``, or ``5`` for integers."""
-    return str(as_rational(x))
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse ``133/8``-style fractions and ``16 + 1/2 + 1/8``-style sums.
 

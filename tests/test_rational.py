@@ -10,7 +10,6 @@ from scribal.rational import (
     as_rational,
     parse_rational,
     parse_unit_fraction_sum,
-    render_rational,
 )
 
 F = Fraction
@@ -106,9 +105,9 @@ class TestTextForms:
         assert UnitFractionSum(0).render() == "0"
 
     def test_render_rational(self):
-        assert render_rational(F(133, 8)) == "133/8"
-        assert render_rational(F(-3, 4)) == "-3/4"
-        assert render_rational(F(10, 2)) == "5"
+        assert str(as_rational(F(133, 8))) == "133/8"
+        assert str(as_rational(F(-3, 4))) == "-3/4"
+        assert str(as_rational(F(10, 2))) == "5"
 
     def test_parse_rational_both_forms(self):
         assert parse_rational("133/8") == F(133, 8)
@@ -138,7 +137,7 @@ class TestTextForms:
 
     @given(st.fractions())
     def test_rational_round_trip(self, x):
-        assert parse_rational(render_rational(x)) == x
+        assert parse_rational(str(x)) == x
 
 
 _REFERENCE_TERM_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -202,7 +201,7 @@ class TestParseAgainstReference:
 
     @given(st.lists(st.fractions(), min_size=1, max_size=6))
     def test_multi_term_sums(self, parts):
-        text = " + ".join(render_rational(x) for x in parts)
+        text = " + ".join(map(str, parts))
         assert parse_rational(text) == sum(parts) == reference_parse_rational(text)
 
 
