@@ -110,6 +110,8 @@ def smallest_share(
     term_count: int, total: Fraction | int, common_difference: Fraction | int
 ) -> Fraction:
     """The first share of ``arithmetic_shares``, without building the others."""
+    if not isinstance(term_count, int) or isinstance(term_count, bool):
+        raise ValueError("share count must be an integer")
     if term_count < 1:
         raise ValueError("need at least one share")
     total = as_rational(total)

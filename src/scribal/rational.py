@@ -19,7 +19,7 @@ from fractions import Fraction
 
 Rational = Fraction
 
-_TERM_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+_TERM_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 # the tokens render writes, in ASCII digits with no leading zero; 1/0 passes
 # so that UnitFractionSum names the bad denominator
 _INTEGER_RE = re.compile(r"0|[1-9][0-9]*")
@@ -28,10 +28,10 @@ _UNIT_RE = re.compile(r"1/(0|[1-9][0-9]*)")
 
 
 def as_rational(x: int | Fraction) -> Fraction:
-    """Coerce an int (or Fraction) to Fraction; floats are refused."""
+    """Coerce an int (or Fraction) to Fraction; floats and bools are refused."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 

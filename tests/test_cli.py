@@ -210,6 +210,9 @@ class TestGeometryCommands:
         doc = json.loads(out)
         assert doc["count"] == 25 and doc["seed"] == 11
         assert F(doc["worst_abs_error"]) >= 0
+        # on a 1x1 grid the one convex figure is the unit square, where the rule is exact
+        code, out, _ = run(capsys, "edfu", "--random", "3", "--max-coord", "1")
+        assert code == 0 and "; 3 exact;" in out
 
     def test_edfu_random_negative_rejected(self, capsys):
         code, out, err = run(capsys, "edfu", "--random", "-3")
@@ -250,6 +253,8 @@ class TestGeometryCommands:
     def test_seked_inverse(self, capsys):
         code, out, _ = run(capsys, "seked", "--base", "360", "--seked", "126/25")
         assert code == 0 and out == "height = 250\n"
+        code, out, _ = run(capsys, "seked", "--height", "250", "--seked", "5 + 1/25")
+        assert code == 0 and out == "base = 360\n"
 
     def test_seked_needs_exactly_two(self, capsys):
         code, _, err = run(capsys, "seked", "--base", "360")
@@ -331,6 +336,13 @@ class TestErrorContract:
     def test_bounds_error_exit_one(self, capsys):
         code, _, err = run(capsys, "decompose", "1/10001")
         assert code == 1 and "max_denominator" in err
+        # a table row out of bounds is named by its n
+        code, out, err = run(capsys, "table2n", "--max-terms", "1")
+        assert (code, out) == (1, "")
+        assert err == (
+            "scribal: table row n=3 failed: no decomposition of 2/3 "
+            "within max_terms=1 and max_denominator=10000\n"
+        )
 
     def test_duplicate_resolution_limit_exit_one(self, capsys, monkeypatch):
         # a lowered step limit stands in for an input that cascades too far
@@ -354,6 +366,13 @@ class TestErrorContract:
         with pytest.raises(SystemExit) as exc_info:
             main(["circle", "--diameter", "nine"])
         assert exc_info.value.code == 2
+        # digits are ASCII only
+        with pytest.raises(SystemExit) as exc_info:
+            main(["decompose", "٣/٤"])
+        assert exc_info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument value: cannot parse rational term '٣/٤' in '٣/٤'\n"
+        )
 
 
 def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):

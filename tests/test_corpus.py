@@ -86,6 +86,26 @@ class TestLoading:
         bad = dict(HAU, id="x", scribal_answer=True)
         with pytest.raises(CorpusFormatError, match="^problem 'x': 'scribal_answer' must be a string$"):
             load_corpus(make_doc([bad]))
+        # an integer answer loads as its value
+        (problem,) = load_corpus(make_doc([dict(HAU, scribal_answer=16)]))
+        assert problem.scribal_answer == 16
+
+    @pytest.mark.parametrize("problem, message", [
+        ({"id": "x", "category": "two_over_n", "inputs": {"n": "5"}},
+         "problem 'x': field 'n' must be an integer"),
+        ({"id": "x", "category": "sequem", "inputs": {"given": "1", "target": "2", "mode": "sideways"}},
+         "problem 'x': field 'mode' must be additive or multiplicative"),
+        (3, "each problem must be an object"),
+        ({k: v for k, v in HAU.items() if k != "id"}, "each problem needs a non-empty string 'id'"),
+        (dict(HAU, id="x", inputs=["19"]), "problem 'x': 'inputs' must be an object"),
+        (dict(HAU, id="x", source_note=3), "problem 'x': 'source_note' must be a string"),
+        (dict(HAU, id="x", inputs={"multiplier": "1", "target": "٣/٤"}),
+         "problem 'x': field 'target': cannot parse rational term '٣/٤' in '٣/٤'"),
+    ], ids=["n", "mode", "problem", "id", "inputs", "source_note", "digits"])
+    def test_refusal_named(self, problem, message):
+        with pytest.raises(CorpusFormatError) as exc_info:
+            load_corpus(make_doc([problem]))
+        assert str(exc_info.value) == message
 
     def test_bad_json(self):
         with pytest.raises(CorpusFormatError, match="JSON"):

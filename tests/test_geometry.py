@@ -474,6 +474,19 @@ class TestShadow:
             shadow_height(10, 1, 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: random_convex_quadrilateral(random.Random(0), 0),
+     "max_coord must be >= 1 to fit a convex quadrilateral"),
+    (lambda: gerbert_isoceles_area(5, -1), "base must be >= 0"),
+    (lambda: seked_cotangent(-1), "seked must be >= 0"),
+    (lambda: shadow_height(-1, 1, 1), "shadow length must be >= 0"),
+], ids=["max_coord", "gerbert_base", "seked", "shadow"])
+def test_refusal_messages(call, message):
+    with pytest.raises(ValueError) as exc_info:
+        call()
+    assert str(exc_info.value) == message
+
+
 class TestDecimalString:
     def test_truncates_toward_zero(self):
         assert decimal_string(F(1, 3), 6) == "0.333333"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scribal import arith, equations, geometry
 from scribal.rational import (
     UnitFractionSum,
     as_rational,
@@ -38,6 +39,19 @@ class TestOps:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             as_rational(0.5)
+
+    @pytest.mark.parametrize("call", [
+        as_rational,
+        arith.decompose,
+        geometry.circle_area_egyptian,
+        lambda x: equations.HauProblem(x, 2),
+        lambda x: arith.sequem_complete(x, 2),
+    ], ids=["as_rational", "decompose", "circle", "hau", "sequem"])
+    def test_rejects_bools(self, call):
+        # a bool is an int to Python, but no exact rational a caller means
+        for value in (True, False):
+            with pytest.raises(TypeError, match=r"^expected an exact rational, got bool$"):
+                call(value)
 
     @given(st.fractions(), st.fractions(), st.fractions())
     def test_field_axioms_spot_check(self, a, b, c):
@@ -103,6 +117,7 @@ class TestTextForms:
         assert UnitFractionSum(0, True, (30,)).render() == "2/3 + 1/30"
         assert UnitFractionSum(5).render() == "5"
         assert UnitFractionSum(0).render() == "0"
+        assert str(UnitFractionSum(3, True, (6,))) == "3 + 2/3 + 1/6"
 
     def test_render_rational(self):
         assert str(as_rational(F(133, 8))) == "133/8"
@@ -119,6 +134,16 @@ class TestTextForms:
     def test_parse_rational_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+    @pytest.mark.parametrize("text, message", [
+        ("٣/٤", "cannot parse rational term '٣/٤' in '٣/٤'"),
+        ("1/٤", "cannot parse rational term '1/٤' in '1/٤'"),
+        ("١٠", "cannot parse rational term '١٠' in '١٠'"),
+    ], ids=["fraction", "denominator", "integer"])
+    def test_parse_rational_reads_ascii_digits_only(self, text, message):
+        with pytest.raises(ValueError) as exc_info:
+            parse_rational(text)
+        assert str(exc_info.value) == message
 
     def test_parse_unit_sum(self):
         u = parse_unit_fraction_sum("16 + 1/2 + 1/8")
@@ -140,7 +165,7 @@ class TestTextForms:
         assert parse_rational(str(x)) == x
 
 
-_REFERENCE_TERM_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_REFERENCE_TERM_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 def reference_parse_rational(text: str) -> Fraction:

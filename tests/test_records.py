@@ -230,7 +230,8 @@ class TestSideQuad:
     (lambda n: equations.geometric_ladder(n, 3), "ladder takes integer base and exponent"),
     (lambda n: equations.geometric_ladder(3, n), "ladder takes integer base and exponent"),
     (lambda n: geometry.seked_from(4, 2, n), "parts per unit must be an integer >= 1"),
-], ids=["multiplier", "multiplicand", "loaves", "men", "base", "top_exponent", "parts"])
+    (lambda n: equations.arithmetic_shares(n, 10, 1), "share count must be an integer"),
+], ids=["multiplier", "multiplicand", "loaves", "men", "base", "top_exponent", "parts", "share_count"])
 def test_a_bool_is_refused_like_a_non_integer(call, message):
     for value in (True, False, F(3)):
         with pytest.raises(ValueError) as exc_info:
