@@ -141,6 +141,7 @@ def parse_rational(text: str) -> Fraction:
 
     Both forms are accepted anywhere a rational is read back in; the sum
     form is evaluated exactly, so parse(render(x)) == x for either writer.
+    Every number is ASCII digits, with an optional sign on each term.
     """
     tokens = [t.strip() for t in text.strip().split("+")]
     if not tokens or any(not t for t in tokens):
