@@ -13,8 +13,8 @@ from scribal import (
     DecompositionPolicy,
     decompose,
     parse_rational,
+    render_table,
     table_2_over_n,
-    table_to_csv,
 )
 
 # A value like 7/10 has many unit-fraction spellings; the default policy
@@ -46,4 +46,4 @@ print(f"... {len(table)} rows, term counts "
 
 # The whole table exports as byte-stable CSV for spreadsheets.
 print()
-print("\n".join(table_to_csv(table).splitlines()[:4]))
+print("\n".join(render_table(table, "csv").splitlines()[:4]))

@@ -21,11 +21,10 @@ from .arith import (
     decompose,
     divide_loaves,
     duplation_multiply,
+    render_table,
     resolve_duplicates,
     sequem_complete,
     table_2_over_n,
-    table_to_csv,
-    table_to_json,
 )
 from .corpus import (
     CorpusProblem,

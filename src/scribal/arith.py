@@ -625,20 +625,16 @@ def table_2_over_n(
 _TABLE_COLUMNS = ("n", "terms", "decomposition", "value_check")
 
 
-def _table_records(entries: list[TableEntry]) -> list[dict]:
-    return [
+def render_table(entries: list[TableEntry], fmt: str = "text") -> str:
+    """The table as ``2/n = ...`` lines, or as JSON or CSV records with a
+    recomposition check column; byte-stable."""
+    if fmt == "text":
+        return "".join(f"2/{e.n:<3} = {e.decomposition.render()}\n" for e in entries)
+    records = [
         dict(zip(_TABLE_COLUMNS, (e.n, e.term_count, e.decomposition.render(), str(e.value()))))
         for e in entries
     ]
-
-
-def table_to_csv(entries: list[TableEntry]) -> str:
-    """CSV export with a recomposition check column; byte-stable."""
-    return render("csv", "", _table_records(entries), _TABLE_COLUMNS)
-
-
-def table_to_json(entries: list[TableEntry]) -> str:
-    return render("json", "", _table_records(entries))
+    return render(fmt, "", records, _TABLE_COLUMNS)
 
 
 # Every row and the product are printed, so each factor has at most this

@@ -61,11 +61,7 @@ def _cmd_decompose(args) -> str:
 
 def _cmd_table2n(args) -> str:
     entries = arith.table_2_over_n(_policy(args), n_max=args.max, include_even=args.include_even)
-    if args.format == "json":
-        return arith.table_to_json(entries)
-    if args.format == "csv":
-        return arith.table_to_csv(entries)
-    return "".join(f"2/{e.n:<3} = {e.decomposition.render()}\n" for e in entries)
+    return arith.render_table(entries, args.format)
 
 
 def _cmd_mul(args) -> str:
@@ -426,7 +422,3 @@ def main(argv: list[str] | None = None) -> int:
         print("scribal: interrupted", file=sys.stderr)
         return 130
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

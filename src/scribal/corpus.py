@@ -137,6 +137,7 @@ _CATEGORIES: dict[str, _Category] = {
 }
 
 CATEGORIES = tuple(_CATEGORIES)
+_PROBLEM_KEYS = frozenset(CorpusProblem._fields)
 
 
 def _validate_inputs(pid: str, category: str, inputs: dict) -> dict:
@@ -166,8 +167,8 @@ def load_corpus(document: str) -> list[CorpusProblem]:
     """Parse and validate a corpus document (JSON text).
 
     Every problem is checked against its category's field list here, so a
-    malformed problem fails at load, never mid-replay. Duplicate ids are
-    rejected.
+    malformed problem fails at load, never mid-replay. Duplicate ids and
+    problem keys outside ``CorpusProblem``'s fields are rejected.
     """
     try:
         data = json.loads(document)
@@ -183,6 +184,9 @@ def load_corpus(document: str) -> list[CorpusProblem]:
         pid = raw.get("id")
         if not isinstance(pid, str) or not pid:
             raise CorpusFormatError("each problem needs a non-empty string 'id'")
+        if not raw.keys() <= _PROBLEM_KEYS:
+            key = next(k for k in raw if k not in _PROBLEM_KEYS)
+            raise CorpusFormatError(f"problem {pid!r}: unexpected field {key!r}")
         if pid in seen:
             raise CorpusFormatError(f"duplicate problem id {pid!r}")
         seen.add(pid)
@@ -257,7 +261,7 @@ class ReplaySummary(NamedTuple):
 
 
 def error_summary(verdicts: list[ReplayVerdict]) -> ReplaySummary:
-    """Counts by status and category, with the worst slip called out."""
+    """Counts by status and by sorted category, with the worst slip called out."""
     status_counts = {s: 0 for s in STATUSES}
     category_counts: dict[str, dict[str, int]] = {}
     worst_id: str | None = None
@@ -268,6 +272,7 @@ def error_summary(verdicts: list[ReplayVerdict]) -> ReplaySummary:
         if v.deviation is not None and v.deviation != 0:
             if worst is None or abs(v.deviation) > abs(worst):
                 worst, worst_id = v.deviation, v.problem_id
+    category_counts = dict(sorted(category_counts.items()))
     return ReplaySummary(len(verdicts), status_counts, category_counts, worst_id, worst)
 
 
@@ -293,19 +298,10 @@ def render_report(verdicts: list[ReplayVerdict], fmt: str = "text") -> str:
     summary = error_summary(verdicts)
     if fmt != "text":
         rows = [_verdict_row(v) for v in verdicts]
+        worst = summary.largest_deviation
         doc = {
             "problems": rows,
-            "summary": {
-                "total": summary.total,
-                "status_counts": summary.status_counts,
-                "category_counts": {
-                    cat: summary.category_counts[cat] for cat in sorted(summary.category_counts)
-                },
-                "largest_deviation_id": summary.largest_deviation_id,
-                "largest_deviation": (
-                    str(summary.largest_deviation) if summary.largest_deviation is not None else None
-                ),
-            },
+            "summary": {**summary._asdict(), "largest_deviation": None if worst is None else str(worst)},
         }
         return render(fmt, "", doc, _REPORT_COLUMNS, rows)
     width = max([len(v.problem_id) for v in verdicts] + [2])
@@ -313,10 +309,8 @@ def render_report(verdicts: list[ReplayVerdict], fmt: str = "text") -> str:
     lines.append(
         "  " + "  ".join(f"{s}: {summary.status_counts[s]}" for s in STATUSES)
     )
-    for cat in sorted(summary.category_counts):
-        parts = ", ".join(
-            f"{s} {n}" for s, n in summary.category_counts[cat].items() if n
-        )
+    for cat, counts in summary.category_counts.items():
+        parts = ", ".join(f"{s} {n}" for s, n in counts.items() if n)
         lines.append(f"  {cat}: {parts}")
     if summary.largest_deviation is not None:
         lines.append(

@@ -99,7 +99,8 @@ def arithmetic_shares(
     the caller to accept or reject. More than ``SHARES_MAX_COUNT`` shares
     are refused before any is built.
     """
-    if term_count > SHARES_MAX_COUNT:
+    # a count of any other type is refused by smallest_share, with one message
+    if isinstance(term_count, int) and term_count > SHARES_MAX_COUNT:
         raise ValueError(f"share count must be at most {SHARES_MAX_COUNT}, got {term_count}")
     first = smallest_share(term_count, total, common_difference)
     diff = as_rational(common_difference)

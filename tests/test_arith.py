@@ -28,9 +28,8 @@ from scribal.arith import (
     duplation_multiply,
     resolve_duplicates,
     sequem_complete,
+    render_table,
     table_2_over_n,
-    table_to_csv,
-    table_to_json,
     _BestCandidate,
     _Search,
     _divisor_count_records,
@@ -1492,9 +1491,9 @@ class TestDoublingTable:
 
     def test_exports_byte_identical(self):
         first, second = table_2_over_n(), table_2_over_n()
-        assert table_to_csv(first) == table_to_csv(second)
-        assert table_to_json(first) == table_to_json(second)
-        header, row3 = table_to_csv(first).splitlines()[:2]
+        assert render_table(first, "csv") == render_table(second, "csv")
+        assert render_table(first, "json") == render_table(second, "json")
+        header, row3 = render_table(first, "csv").splitlines()[:2]
         assert header == "n,terms,decomposition,value_check"
         assert row3 == "3,2,1/2 + 1/6,2/3"
 

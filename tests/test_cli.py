@@ -50,9 +50,10 @@ class TestTable2n:
         assert len(rows) == 49
         assert all(2 <= int(terms) <= 4 for _, terms, _ in rows)
 
-    def test_csv_equals_library_export(self, capsys):
-        _, out, _ = run(capsys, "table2n", "--format", "csv")
-        assert out == arith.table_to_csv(arith.table_2_over_n())
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_equals_library_render(self, capsys, fmt):
+        _, out, _ = run(capsys, "table2n", "--format", fmt)
+        assert out == arith.render_table(arith.table_2_over_n(), fmt)
 
     def test_text_row(self, capsys):
         _, out, _ = run(capsys, "table2n", "--max", "5")

@@ -11,6 +11,7 @@ from scribal.corpus import (
     NO_RECORDED_ANSWER,
     SCRIBAL_ERROR,
     CorpusFormatError,
+    ReplayVerdict,
     error_summary,
     load_corpus,
     load_starter_corpus,
@@ -101,7 +102,8 @@ class TestLoading:
         (dict(HAU, id="x", source_note=3), "problem 'x': 'source_note' must be a string"),
         (dict(HAU, id="x", inputs={"multiplier": "1", "target": "٣/٤"}),
          "problem 'x': field 'target': cannot parse rational term '٣/٤' in '٣/٤'"),
-    ], ids=["n", "mode", "problem", "id", "inputs", "source_note", "digits"])
+        (dict(HAU, id="x", scribal_anwser="19"), "problem 'x': unexpected field 'scribal_anwser'"),
+    ], ids=["n", "mode", "problem", "id", "inputs", "source_note", "digits", "key"])
     def test_refusal_named(self, problem, message):
         with pytest.raises(CorpusFormatError) as exc_info:
             load_corpus(make_doc([problem]))
@@ -318,6 +320,12 @@ class TestStarterCorpus:
         verdicts = replay_all(load_starter_corpus())
         summary = error_summary(verdicts)
         assert sum(summary.status_counts.values()) == summary.total
+
+    def test_categories_counted_in_sorted_order(self):
+        # ids put volume before area; the report prints the counts in this order
+        verdicts = [ReplayVerdict(pid, cat, MATCH, F(1), F(1), F(0)) for pid, cat in
+                    (("a", "volume"), ("b", "area"), ("c", "hau"))]
+        assert list(error_summary(verdicts).category_counts) == ["area", "hau", "volume"]
 
     def test_slip_is_highlighted(self):
         verdicts = replay_all(load_starter_corpus())

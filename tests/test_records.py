@@ -233,7 +233,9 @@ class TestSideQuad:
     (lambda n: equations.arithmetic_shares(n, 10, 1), "share count must be an integer"),
 ], ids=["multiplier", "multiplicand", "loaves", "men", "base", "top_exponent", "parts", "share_count"])
 def test_a_bool_is_refused_like_a_non_integer(call, message):
-    for value in (True, False, F(3)):
+    # a string, and a whole Fraction past a size cap, are refused by type
+    # before any cap compares them
+    for value in (True, False, F(3), "3", F(20000)):
         with pytest.raises(ValueError) as exc_info:
             call(value)
         assert str(exc_info.value) == message, value
