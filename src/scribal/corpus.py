@@ -184,7 +184,7 @@ def load_corpus(document: str) -> list[CorpusProblem]:
         pid = raw.get("id")
         if not isinstance(pid, str) or not pid:
             raise CorpusFormatError("each problem needs a non-empty string 'id'")
-        if not raw.keys() <= _PROBLEM_KEYS:
+        if not _PROBLEM_KEYS.issuperset(raw):
             key = next(k for k in raw if k not in _PROBLEM_KEYS)
             raise CorpusFormatError(f"problem {pid!r}: unexpected field {key!r}")
         if pid in seen:
