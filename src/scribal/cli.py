@@ -367,7 +367,12 @@ def _add_command_arguments(parser, name, arguments, policy, fn) -> None:
         parser.add_argument(*flags, **kwargs)
     if policy is not None:
         for field, flag, kwargs in _POLICY_FLAGS:
-            parser.add_argument(flag, dest=field, default=getattr(policy, field), **kwargs)
+            default = getattr(policy, field)
+            if kwargs.get("action") is argparse.BooleanOptionalAction:
+                # argparse 3.11+ prints no default for an on/off flag; the
+                # default differs by command (2/3 is off for table2n)
+                kwargs = {**kwargs, "help": f"{kwargs['help']} (default: {'on' if default else 'off'})"}
+            parser.add_argument(flag, dest=field, default=default, **kwargs)
     parser.add_argument("--format", choices=FORMATS, default="text")
     parser.set_defaults(fn=fn, command=name)
 

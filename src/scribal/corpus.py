@@ -261,17 +261,25 @@ class ReplaySummary(NamedTuple):
 
 
 def error_summary(verdicts: list[ReplayVerdict]) -> ReplaySummary:
-    """Counts by status and by sorted category, with the worst slip called out."""
-    status_counts = {s: 0 for s in STATUSES}
+    """Counts by status and by sorted category, with the worst slip called out.
+
+    The worst slip is the largest |deviation|, the smallest id among equals,
+    so the summary does not depend on the verdicts' order.
+    """
+    status_counts = dict.fromkeys(STATUSES, 0)
     category_counts: dict[str, dict[str, int]] = {}
     worst_id: str | None = None
     worst: Fraction | None = None
-    for v in sorted(verdicts, key=lambda v: v.problem_id):
+    for v in verdicts:
         status_counts[v.status] += 1
-        category_counts.setdefault(v.category, {s: 0 for s in STATUSES})[v.status] += 1
-        if v.deviation is not None and v.deviation != 0:
-            if worst is None or abs(v.deviation) > abs(worst):
-                worst, worst_id = v.deviation, v.problem_id
+        counts = category_counts.get(v.category)
+        if counts is None:
+            counts = category_counts[v.category] = dict.fromkeys(STATUSES, 0)
+        counts[v.status] += 1
+        if v.deviation:  # a slip: neither None nor zero
+            size = abs(v.deviation)
+            if worst is None or size > worst_size or (size == worst_size and v.problem_id < worst_id):
+                worst, worst_size, worst_id = v.deviation, size, v.problem_id
     category_counts = dict(sorted(category_counts.items()))
     return ReplaySummary(len(verdicts), status_counts, category_counts, worst_id, worst)
 

@@ -20,6 +20,8 @@ from fractions import Fraction
 Rational = Fraction
 
 _TERM_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# a whole text of one term; no "+", since splitting on "+" refuses "+0"
+_ONE_TERM_RE = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*")
 # the tokens render writes, in ASCII digits with no leading zero; 1/0 passes
 # so that UnitFractionSum names the bad denominator
 _INTEGER_RE = re.compile(r"0|[1-9][0-9]*")
@@ -143,6 +145,12 @@ def parse_rational(text: str) -> Fraction:
     form is evaluated exactly, so parse(render(x)) == x for either writer.
     Every number is ASCII digits, with an optional sign on each term.
     """
+    m = _ONE_TERM_RE.fullmatch(text)
+    if m is not None:
+        n, d = m.groups(default="1")
+        n, d = int(n), int(d)
+        if d:  # a zero denominator takes the general path, which names it
+            return Fraction(n, d)
     tokens = [t.strip() for t in text.strip().split("+")]
     if not tokens or any(not t for t in tokens):
         raise ValueError(f"cannot parse rational from {text!r}")

@@ -175,6 +175,16 @@ class TestPolicyFlags:
         got = cli._policy(cli.parse_args([name, *required, *flag]))
         assert policy_fields(got) == {**policy_fields(base), field: value}
 
+    @pytest.mark.parametrize("name", POLICY_COMMANDS)
+    def test_help_states_the_on_off_defaults(self, name):
+        _, base = POLICY_COMMANDS[name]
+        words = " ".join(build_parser(name).format_help().split())
+        for field, text in (("allow_two_thirds", "allow the 2/3 primitive as a term"),
+                            ("prefer_divisor_rich", "tie-break toward divisor-rich largest denominators")):
+            assert f"{text} (default: {'on' if getattr(base, field) else 'off'})" in words
+        if name == "table2n":
+            assert "allow the 2/3 primitive as a term (default: off)" in words
+
 
 class TestGeometryCommands:
     def test_area_triangle(self, capsys):

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scribal import arith, corpus, equations
 from scribal.corpus import (
@@ -358,3 +360,90 @@ class TestStarterCorpus:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             render_report([], "xml")
+
+
+def reference_error_summary(verdicts):
+    """The earlier error_summary, which walked the verdicts in id order."""
+    status_counts = {s: 0 for s in corpus.STATUSES}
+    category_counts = {}
+    worst_id = worst = None
+    for v in sorted(verdicts, key=lambda v: v.problem_id):
+        status_counts[v.status] += 1
+        category_counts.setdefault(v.category, {s: 0 for s in corpus.STATUSES})[v.status] += 1
+        if v.deviation is not None and v.deviation != 0:
+            if worst is None or abs(v.deviation) > abs(worst):
+                worst, worst_id = v.deviation, v.problem_id
+    category_counts = dict(sorted(category_counts.items()))
+    return corpus.ReplaySummary(len(verdicts), status_counts, category_counts, worst_id, worst)
+
+
+def _with_orders(summary):
+    """The summary with every dict also as its list of items, so order counts."""
+    return (summary, list(summary.status_counts.items()),
+            [(cat, list(counts.items())) for cat, counts in summary.category_counts.items()])
+
+
+# few ids, categories and deviations, so that ties in |deviation| are common
+_verdicts = st.lists(
+    st.builds(
+        ReplayVerdict,
+        st.sampled_from("abcdefgh"),
+        st.sampled_from(["hau", "area", "volume"]),
+        st.sampled_from(corpus.STATUSES),
+        st.none(),
+        st.none(),
+        st.sampled_from([None, F(0), F(1, 2), F(-1, 2), F(1, 3), F(-2)]),
+    ),
+    max_size=12,
+    unique_by=lambda v: v.problem_id,
+)
+
+
+class TestErrorSummary:
+    def test_summary_counts_and_worst_slip(self):
+        verdicts = [
+            ReplayVerdict("b", "hau", SCRIBAL_ERROR, F(1), F(3, 2), F(1, 2)),
+            ReplayVerdict("c", "area", SCRIBAL_ERROR, F(1), F(1, 2), F(-1, 2)),
+            ReplayVerdict("a", "hau", SCRIBAL_ERROR, F(1), F(1, 2), F(-1, 2)),
+            ReplayVerdict("d", "area", MATCH, F(1), F(1), F(0)),
+            ReplayVerdict("e", "seked", ENGINE_ERROR, None, F(1), None, "refused"),
+        ]
+        for order in (verdicts, verdicts[::-1]):
+            summary = error_summary(order)
+            assert (summary.largest_deviation_id, summary.largest_deviation) == ("a", F(-1, 2))
+            assert summary.category_counts == {
+                "area": {MATCH: 1, SCRIBAL_ERROR: 1, NO_RECORDED_ANSWER: 0, ENGINE_ERROR: 0},
+                "hau": {MATCH: 0, SCRIBAL_ERROR: 2, NO_RECORDED_ANSWER: 0, ENGINE_ERROR: 0},
+                "seked": {MATCH: 0, SCRIBAL_ERROR: 0, NO_RECORDED_ANSWER: 0, ENGINE_ERROR: 1},
+            }
+
+    def test_a_zero_deviation_is_never_named(self):
+        verdicts = [ReplayVerdict("a", "hau", MATCH, F(1), F(1), F(0)),
+                    ReplayVerdict("b", "hau", NO_RECORDED_ANSWER, F(1), None, None)]
+        summary = error_summary(verdicts)
+        assert (summary.largest_deviation_id, summary.largest_deviation) == (None, None)
+
+    @given(_verdicts, st.randoms(use_true_random=False))
+    def test_any_order_gives_the_reference_summary(self, verdicts, rng):
+        shuffled = list(verdicts)
+        rng.shuffle(shuffled)
+        want = _with_orders(reference_error_summary(verdicts))
+        assert _with_orders(error_summary(verdicts)) == want
+        assert _with_orders(error_summary(shuffled)) == want
+
+    @given(_verdicts)
+    def test_worst_slip_is_the_smallest_id_of_the_largest(self, verdicts):
+        summary = error_summary(verdicts)
+        slips = [v for v in verdicts if v.deviation]
+        if not slips:
+            assert (summary.largest_deviation_id, summary.largest_deviation) == (None, None)
+            return
+        size = max(abs(v.deviation) for v in slips)
+        worst = min((v for v in slips if abs(v.deviation) == size), key=lambda v: v.problem_id)
+        assert (summary.largest_deviation_id, summary.largest_deviation) == (worst.problem_id, worst.deviation)
+
+    @given(_verdicts)
+    def test_each_category_has_its_own_counts(self, verdicts):
+        summary = error_summary(verdicts)
+        counts = [summary.status_counts, *summary.category_counts.values()]
+        assert len({id(c) for c in counts}) == len(counts)

@@ -206,6 +206,16 @@ _malformed_terms = st.sampled_from(
 _terms = _well_formed_terms | _malformed_terms
 
 
+# every character str.strip() and the regex \s take as whitespace, and one they do not
+_UNICODE_SPACES = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+_one_term_texts = st.builds(
+    lambda before, term, after: before + term + after,
+    st.text(alphabet=_UNICODE_SPACES + "\u200b", max_size=3),
+    _terms,
+    st.text(alphabet=_UNICODE_SPACES + "\u200b", max_size=3),
+)
+
+
 @st.composite
 def _rational_texts(draw):
     tokens = draw(st.lists(_terms, min_size=1, max_size=5))
@@ -223,6 +233,28 @@ class TestParseAgainstReference:
     @example("1" * 5000 + "/0")  # over the int() digit limit: raised before the zero denominator
     def test_same_value_or_same_error(self, text):
         assert _outcome(parse_rational, text) == _outcome(reference_parse_rational, text)
+
+    @settings(max_examples=300)
+    @given(_one_term_texts)
+    @example("\u3000-7/10\x85")
+    @example("\u200b1/2")  # a zero-width space is not whitespace
+    def test_one_term_texts_in_unicode_whitespace(self, text):
+        assert _outcome(parse_rational, text) == _outcome(reference_parse_rational, text)
+
+    @pytest.mark.parametrize("text, outcome", [
+        ("+0", (ValueError, "cannot parse rational from '+0'")),
+        ("+5", (ValueError, "cannot parse rational from '+5'")),
+        ("1/00", (ValueError, "zero denominator in '1/00'")),
+        ("-0", F(0)),
+        ("007/010", F(7, 10)),
+        (" 7\u3000", F(7)),
+        ("\x1c1/2", F(1, 2)),
+        ("5/", (ValueError, "cannot parse rational term '5/' in '5/'")),
+        ("/5", (ValueError, "cannot parse rational term '/5' in '/5'")),
+        (" 7/10 ", F(7, 10)),
+    ])
+    def test_one_term_pinned(self, text, outcome):
+        assert _outcome(parse_rational, text) == outcome == _outcome(reference_parse_rational, text)
 
     @given(st.lists(st.fractions(), min_size=1, max_size=6))
     def test_multi_term_sums(self, parts):
