@@ -182,8 +182,6 @@ class TestPolicyFlags:
         for field, text in (("allow_two_thirds", "allow the 2/3 primitive as a term"),
                             ("prefer_divisor_rich", "tie-break toward divisor-rich largest denominators")):
             assert f"{text} (default: {'on' if getattr(base, field) else 'off'})" in words
-        if name == "table2n":
-            assert "allow the 2/3 primitive as a term (default: off)" in words
 
 
 class TestGeometryCommands:
