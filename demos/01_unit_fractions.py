@@ -42,7 +42,7 @@ table = table_2_over_n()
 for entry in table[:6]:
     print(f"2/{entry.n:<2} = {entry.decomposition}")
 print(f"... {len(table)} rows, term counts "
-      f"{sorted({e.term_count for e in table})}, all recompose exactly")
+      f"{sorted({e.decomposition.term_count for e in table})}, all recompose exactly")
 
 # The whole table exports as byte-stable CSV for spreadsheets.
 print()

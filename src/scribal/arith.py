@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -89,7 +89,7 @@ DEFAULT_POLICY = DecompositionPolicy()
 
 # The doubling table is a table of numerator-one fractions, so its default
 # policy leaves the 2/3 primitive out; pass an explicit policy to keep it.
-TABLE_POLICY = replace(DEFAULT_POLICY, allow_two_thirds=False)
+TABLE_POLICY = DecompositionPolicy(allow_two_thirds=False)
 
 
 def _greedy_unit_denominators(a: int, b: int) -> list[int]:
@@ -248,7 +248,8 @@ class _BestCandidate:
 
     Order: divisor count of the largest denominator (descending, when the
     policy prefers divisor-rich), then smallest largest denominator, then
-    lexicographically smallest sequence.
+    lexicographically smallest sequence. ``key`` is the best form's place
+    in that order, the form itself last; it is None before the first offer.
 
     ``y_floor`` is the smallest n with as many divisors as the best form's
     largest denominator under the divisor-rich order, so a form that wins
@@ -259,8 +260,7 @@ class _BestCandidate:
     def __init__(self, policy: DecompositionPolicy):
         self.rich = policy.prefer_divisor_rich
         self.record_limit = min(policy.max_denominator, _DIVISOR_COUNT_RECORD_LIMIT)
-        self.best: tuple | None = None
-        self.dens: tuple[int, ...] | None = None
+        self.key: tuple | None = None
         self.y_floor = 0
 
     def offer(self, dens: tuple[int, ...]) -> None:
@@ -273,11 +273,10 @@ class _BestCandidate:
             key = (-divisors, largest, dens)
         else:
             key = (largest, dens)
-        if self.best is None or key < self.best:
-            if self.rich and (self.best is None or key[0] != self.best[0]):
+        if self.key is None or key < self.key:
+            if self.rich and (self.key is None or key[0] != self.key[0]):
                 self.y_floor = _divisor_floor(divisors, self.record_limit)
-            self.best = key
-            self.dens = dens
+            self.key = key
 
 
 def _with_term(term: int, x: int, y: int) -> tuple[int, int, int]:
@@ -541,8 +540,8 @@ def _shortest(
             if t >= 2:
                 best = _BestCandidate(policy)
                 _Search(max_den, best).node(a0, b0, {}, (), t, 2, b0, 1)
-                if best.dens is not None:
-                    return marker, list(best.dens)
+                if best.key is not None:
+                    return marker, list(best.key[-1])
     raise BoundsExceededError(
         f"no decomposition of {a}/{b} within max_terms={policy.max_terms} "
         f"and max_denominator={policy.max_denominator}",
@@ -584,12 +583,10 @@ class TableEntry(NamedTuple):
     n: int
     decomposition: UnitFractionSum
 
-    @property
-    def term_count(self) -> int:
-        return self.decomposition.term_count
 
-    def value(self) -> Fraction:
-        return self.decomposition.value()
+# The table is built whole before it is shown, so its last row is capped:
+# greedy and splitting build 10**5 rows in well under a second.
+TABLE_MAX_N = 100_000
 
 
 def table_2_over_n(
@@ -603,10 +600,13 @@ def table_2_over_n(
     Historically the table covers odd n only (2/n for even n reduces to a
     single unit fraction); ``include_even`` adds those trivial rows. With
     no explicit policy the rows are pure numerator-one fractions under
-    shortest_search (``TABLE_POLICY``).
+    shortest_search (``TABLE_POLICY``). An ``n_max`` above
+    ``TABLE_MAX_N`` is refused before any row is built.
     """
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
+    if n_max > TABLE_MAX_N:
+        raise ValueError(f"n_max must be at most {TABLE_MAX_N}, got {n_max}")
     entries: list[TableEntry] = []
     for n in range(3, n_max + 1):
         if n % 2 == 0 and not include_even:
@@ -631,8 +631,8 @@ def render_table(entries: list[TableEntry], fmt: str = "text") -> str:
     if fmt == "text":
         return "".join(f"2/{e.n:<3} = {e.decomposition.render()}\n" for e in entries)
     records = [
-        dict(zip(_TABLE_COLUMNS, (e.n, e.term_count, e.decomposition.render(), str(e.value()))))
-        for e in entries
+        dict(zip(_TABLE_COLUMNS, (n, d.term_count, d.render(), str(d.value()))))
+        for n, d in entries
     ]
     return render(fmt, "", records, _TABLE_COLUMNS)
 

@@ -172,7 +172,10 @@ def load_corpus(document: str) -> list[CorpusProblem]:
     """
     try:
         data = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError, as is an integer literal past
+        # the interpreter's digit limit; nesting past the recursion limit
+        # raises RecursionError
         raise CorpusFormatError(f"corpus is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or not isinstance(data.get("problems"), list):
         raise CorpusFormatError("corpus must be an object with a 'problems' array")

@@ -326,11 +326,6 @@ def _shoelace_area(lattice: list[LatticePoint], scale: int) -> Fraction:
     return Fraction(abs(twice), 2 * scale * scale)
 
 
-def validate_simple_polygon(vertices: Sequence[tuple[Fraction | int, Fraction | int]]) -> list[Point]:
-    """Check for a simple (non-self-intersecting) polygon; return its points."""
-    return _simple_lattice(vertices)[0]
-
-
 def exact_polygon_area(vertices: Sequence[tuple[Fraction | int, Fraction | int]]) -> Fraction:
     """Shoelace area of a simple polygon, exact and orientation-free."""
     _, lattice, scale = _simple_lattice(vertices)
@@ -433,10 +428,7 @@ def gerbert_isoceles_area(leg: Fraction | int, base: Fraction | int) -> ErrorRep
     historical = leg * base / 2
     square = 4 * leg**2 - base**2
     s, t, is_exact = _sqrt_lower(square.numerator, square.denominator, SQRT_DIGITS)
-    exact = base * s / (4 * t)
-    if is_exact:
-        return ErrorReport.build(historical, exact)
-    return ErrorReport.build(historical, exact, approx_digits=SQRT_DIGITS)
+    return ErrorReport.build(historical, base * s / (4 * t), None if is_exact else SQRT_DIGITS)
 
 
 # -- right angles by rope -------------------------------------------------

@@ -180,7 +180,7 @@ class TestShortestSearch:
         for n in range(1, limit + 1):
             best = _BestCandidate(DEFAULT_POLICY)
             best.offer((n,))
-            assert best.best[0] == -counts[n], n
+            assert best.key[0] == -counts[n], n
 
     def test_tie_break_smallest_largest_denominator(self):
         u = decompose(F(2, 99), DecompositionPolicy(prefer_divisor_rich=False))
@@ -537,7 +537,7 @@ class TestIncumbentFloor:
             best.offer((3, 59))
             best.offer((2, 4, 48))
         factor.assert_not_called()
-        assert (best.dens, best.y_floor) == ((5, 60), 60)
+        assert (best.key[-1], best.y_floor) == ((5, 60), 60)
 
 
 # the primes from 23 to 400: a planted leaf's terms stay below 40000
@@ -1449,8 +1449,8 @@ class TestDoublingTable:
         assert len(entries) == 49
         assert [e.n for e in entries] == list(range(3, 100, 2))
         for e in entries:
-            assert e.value() == F(2, e.n)
-            assert 2 <= e.term_count <= 4
+            assert e.decomposition.value() == F(2, e.n)
+            assert 2 <= e.decomposition.term_count <= 4
             assert not e.decomposition.two_thirds
 
     def test_rows_match_golden_file(self):
@@ -1465,7 +1465,7 @@ class TestDoublingTable:
     def test_row_3_with_marker_policy(self):
         entries = table_2_over_n(DecompositionPolicy(), n_max=3)
         assert entries[0].decomposition.two_thirds
-        assert entries[0].term_count == 1
+        assert entries[0].decomposition.term_count == 1
 
     def test_row_5_unique_minimal(self):
         entries = table_2_over_n(n_max=5)
@@ -1475,7 +1475,7 @@ class TestDoublingTable:
     def test_shortest_never_longer_than_greedy(self):
         greedy = DecompositionPolicy(strategy=GREEDY, allow_two_thirds=False)
         for e in table_2_over_n():
-            assert e.term_count <= decompose(F(2, e.n), greedy).term_count
+            assert e.decomposition.term_count <= decompose(F(2, e.n), greedy).term_count
 
     def test_no_shorter_form_exists(self):
         for e in table_2_over_n():
@@ -1488,6 +1488,17 @@ class TestDoublingTable:
         assert [e.n for e in with_even] == list(range(3, 11))
         four = next(e for e in with_even if e.n == 4)
         assert four.decomposition.denominators == (2,)
+
+    def test_rows_capped_before_any_is_built(self, monkeypatch):
+        cap = arith.TABLE_MAX_N
+        built = []
+        monkeypatch.setattr(arith, "decompose", lambda value, policy: built.append(value))
+        assert len(table_2_over_n(n_max=cap)) == len(built) == (cap - 1) // 2
+        assert built[-1] == F(2, cap - 1)
+        built.clear()
+        with pytest.raises(ValueError, match=rf"^n_max must be at most {cap}, got {cap + 1}$"):
+            table_2_over_n(n_max=cap + 1)
+        assert built == []
 
     def test_exports_byte_identical(self):
         first, second = table_2_over_n(), table_2_over_n()

@@ -59,6 +59,10 @@ class TestTable2n:
         _, out, _ = run(capsys, "table2n", "--max", "5")
         assert "2/3   = 1/2 + 1/6" in out
 
+    def test_over_cap_rejected(self, capsys):
+        code, out, err = run(capsys, "table2n", "--strategy", "greedy", "--max", str(arith.TABLE_MAX_N + 1))
+        assert (code, out, err) == (1, "", "scribal: n_max must be at most 100000, got 100001\n")
+
     def test_byte_stable(self, capsys):
         _, first, _ = run(capsys, "table2n", "--format", "json")
         _, second, _ = run(capsys, "table2n", "--format", "json")
@@ -315,6 +319,15 @@ class TestCorpusCommand:
         path.write_text("{")
         code, _, err = run(capsys, "corpus", str(path))
         assert code == 1 and "scribal:" in err
+
+    @pytest.mark.parametrize("text", ['{"problems": [' + "9" * 5000 + "]}", "[" * 100_000],
+                             ids=["digits", "depth"])
+    def test_unreadable_json_fails_cleanly(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "corpus", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("scribal: corpus is not valid JSON: ") and err.count("\n") == 1
 
     def test_unhashable_category_fails_cleanly(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

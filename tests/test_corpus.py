@@ -115,6 +115,18 @@ class TestLoading:
         with pytest.raises(CorpusFormatError, match="JSON"):
             load_corpus("{problems: [")
 
+    # json.loads raises ValueError past the interpreter's integer digit
+    # limit and RecursionError past its nesting limit
+    @pytest.mark.parametrize("document", [
+        '{"problems": [' + "9" * 5000 + "]}",
+        "[" * 100_000,
+    ], ids=["digits", "depth"])
+    def test_unreadable_json_refused(self, document):
+        with pytest.raises(CorpusFormatError) as exc_info:
+            load_corpus(document)
+        message = str(exc_info.value)
+        assert message.startswith("corpus is not valid JSON: ") and "\n" not in message
+
     def test_non_object_document(self):
         with pytest.raises(CorpusFormatError):
             load_corpus("[]")
