@@ -309,16 +309,14 @@ class _Merged:
     lower power of p stays, since such a term's q/d vanishes mod p: it
     is in no set, so the groups stay disjoint."""
 
-    __slots__ = ("best", "q", "term", "path", "y_floor")
+    __slots__ = ("best", "q", "term", "path")
+    y_floor = 0  # no floor for the leaf: the best's offer drops what is below its own
 
     def __init__(self, best: _BestCandidate, q: int, term: int, path: tuple[int, ...]):
         self.best = best
         self.q = q
         self.term = term
         self.path = path
-        # the merged form's largest is the leaf's y or the term, so the
-        # leaf may use the incumbent's floor only while the term is below it
-        self.y_floor = best.y_floor if term < best.y_floor else 0
 
     def offer(self, pair: tuple[int, ...]) -> None:
         x, y = pair
@@ -683,11 +681,9 @@ def duplation_multiply(a: int, b: int) -> DuplationResult:
     """
     if any(not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in (a, b)):
         raise ValueError("duplation multiplies positive integers")
-    # 2**(4*d) > 10**d: the bit count alone rules out a huge factor, and
-    # below that count the exact comparison is cheap
-    for factor in (a, b):
-        if factor.bit_length() > 4 * DUPLATION_MAX_DIGITS or factor >= _DUPLATION_LIMIT:
-            raise ValueError(f"duplation takes factors of at most {DUPLATION_MAX_DIGITS} digits")
+    # ints of different sizes compare by size first: a huge factor is cheap to refuse
+    if a >= _DUPLATION_LIMIT or b >= _DUPLATION_LIMIT:
+        raise ValueError(f"duplation takes factors of at most {DUPLATION_MAX_DIGITS} digits")
     rows: list[DuplationRow] = []
     power, doubled = 1, b
     while power <= a:

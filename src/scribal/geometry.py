@@ -24,8 +24,6 @@ _PI_DIGITS = "314159265358979323846264338327950288419716939937510"
 # reports promise, so interval width never masks a genuine inequality.
 SQRT_DIGITS = 80
 
-Point = tuple[Fraction, Fraction]
-
 
 def _sqrt_lower(p: int, q: int, digits: int) -> tuple[int, int, bool]:
     # (s, t, is_exact) for p/q >= 0 in lowest terms: s/t is sqrt(p/q) when
@@ -290,8 +288,8 @@ def _segments_intersect(p1: LatticePoint, p2: LatticePoint, q1: LatticePoint, q2
 
 def _simple_lattice(
     vertices: Sequence[tuple[Fraction | int, Fraction | int]],
-) -> tuple[list[Point], list[LatticePoint], int]:
-    """Validate a simple polygon; return its points, lattice points and scale."""
+) -> tuple[list[LatticePoint], int]:
+    """Validate a simple polygon; return its lattice points and scale."""
     pts = [(as_rational(x), as_rational(y)) for x, y in vertices]
     n = len(pts)
     if n < 3:
@@ -317,7 +315,7 @@ def _simple_lattice(
             c1, c2 = lattice[j], lattice[(j + 1) % n]
             if _segments_intersect(a1, a2, c1, c2):
                 raise ValueError("polygon edges intersect; not a simple polygon")
-    return pts, lattice, scale
+    return lattice, scale
 
 
 def _shoelace_area(lattice: list[LatticePoint], scale: int) -> Fraction:
@@ -328,8 +326,7 @@ def _shoelace_area(lattice: list[LatticePoint], scale: int) -> Fraction:
 
 def exact_polygon_area(vertices: Sequence[tuple[Fraction | int, Fraction | int]]) -> Fraction:
     """Shoelace area of a simple polygon, exact and orientation-free."""
-    _, lattice, scale = _simple_lattice(vertices)
-    return _shoelace_area(lattice, scale)
+    return _shoelace_area(*_simple_lattice(vertices))
 
 
 # -- grading the donation-text rule ---------------------------------------
@@ -360,7 +357,7 @@ def edfu_error_report(
     """
     if len(vertices) > 4:
         raise ValueError("the rule applies to quadrilaterals and triangles only")
-    _, lattice, scale = _simple_lattice(vertices)
+    lattice, scale = _simple_lattice(vertices)
     sq = _squared_side_lengths(lattice)
     if len(sq) == 3:
         sq.append(0)

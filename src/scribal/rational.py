@@ -19,9 +19,8 @@ from fractions import Fraction
 
 Rational = Fraction
 
-_TERM_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-# a whole text of one term; no "+", since splitting on "+" refuses "+0"
-_ONE_TERM_RE = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*")
+# one term between "+" signs, with the whitespace str.strip() takes off
+_TERM_RE = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*")
 # the tokens render writes, in ASCII digits with no leading zero; 1/0 passes
 # so that UnitFractionSum names the bad denominator
 _INTEGER_RE = re.compile(r"0|[1-9][0-9]*")
@@ -143,28 +142,24 @@ def parse_rational(text: str) -> Fraction:
 
     Both forms are accepted anywhere a rational is read back in; the sum
     form is evaluated exactly, so parse(render(x)) == x for either writer.
-    Every number is ASCII digits, with an optional sign on each term.
+    Every number is ASCII digits, with an optional minus sign on each term.
     """
-    m = _ONE_TERM_RE.fullmatch(text)
-    if m is not None:
-        n, d = m.groups(default="1")
-        n, d = int(n), int(d)
-        if d:  # a zero denominator takes the general path, which names it
-            return Fraction(n, d)
-    tokens = [t.strip() for t in text.strip().split("+")]
-    if not tokens or any(not t for t in tokens):
-        raise ValueError(f"cannot parse rational from {text!r}")
+    tokens = text.split("+")
     # sum over plain integers; one Fraction, reduced once, at the end
     num, den = 0, 1
-    for tok in tokens:
-        m = _TERM_RE.fullmatch(tok)
-        if m is None:
-            raise ValueError(f"cannot parse rational term {tok!r} in {text!r}")
-        n, d = m.groups(default="1")
-        n, d = int(n), int(d)
-        if d == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        num, den = num * d + n * den, den * d
+    try:
+        for tok in tokens:
+            m = _TERM_RE.fullmatch(tok)
+            if m is None:
+                raise ValueError(f"cannot parse rational term {tok.strip()!r} in {text!r}")
+            n, d = int(m[1]), int(m[2] or 1)
+            if d == 0:
+                raise ValueError(f"zero denominator in {text!r}")
+            num, den = num * d + n * den, den * d
+    except ValueError:
+        if any(not t.strip() for t in tokens):  # an empty term is named first
+            raise ValueError(f"cannot parse rational from {text!r}") from None
+        raise
     return Fraction(num, den)
 
 

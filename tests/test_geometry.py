@@ -588,8 +588,9 @@ def outcome(fn, *args):
 
 
 def simple_polygon_points(vertices):
-    # the checked points, as every polygon oracle reads them
-    return geometry._simple_lattice(vertices)[0]
+    # the checked points, rebuilt from the lattice every polygon oracle reads
+    lattice, scale = geometry._simple_lattice(vertices)
+    return [(F(x, scale), F(y, scale)) for x, y in lattice]
 
 
 # Small numerators over mixed denominators: lattice scales from 1 to 84,
@@ -661,6 +662,35 @@ class TestLatticeKernelAgainstFractionKernel:
         pts = [(0, 0), (1.5, 0), (1, 1)]
         assert outcome(simple_polygon_points, pts) == outcome(ref_validate, pts)
         assert outcome(simple_polygon_points, pts)[0] is TypeError
+
+
+lattice_points = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+class TestSegmentsIntersect:
+    """The lattice predicate on its own: a polygon check reaches its d3
+    branch only after the fold-back or an earlier pair has fired."""
+
+    @given(lattice_points, lattice_points, lattice_points, lattice_points, st.integers(1, 12))
+    @settings(max_examples=400)
+    def test_matches_the_fraction_kernel(self, p1, p2, q1, q2, scale):
+        got = geometry._segments_intersect(p1, p2, q1, q2)
+        scaled = [(F(x, scale), F(y, scale)) for x, y in (p1, p2, q1, q2)]
+        assert got == ref_segments_intersect(*scaled)
+        assert got == geometry._segments_intersect(q1, q2, p1, p2)
+
+    @pytest.mark.parametrize("p1, p2, q1, q2", [
+        ((1, 0), (1, 1), (0, 0), (2, 0)),  # d1: p1 on q1-q2
+        ((1, 1), (1, 0), (0, 0), (2, 0)),  # d2: p2 on q1-q2
+        ((0, 0), (2, 0), (1, 0), (1, 1)),  # d3: q1 on p1-p2
+        ((0, 0), (2, 0), (1, 1), (1, 0)),  # d4: q2 on p1-p2
+    ])
+    def test_touching_ends(self, p1, p2, q1, q2):
+        assert geometry._segments_intersect(p1, p2, q1, q2)
+        assert geometry._segments_intersect(q1, q2, p1, p2)
+
+    def test_end_on_the_line_past_the_segment(self):
+        assert not geometry._segments_intersect((0, 0), (2, 0), (3, 0), (3, 1))
 
 
 def test_edfu_report_validates_once(monkeypatch):

@@ -233,6 +233,13 @@ class TestParseAgainstReference:
     @example("1/2 + 3/0 + x")
     @example("x + 3/0")
     @example("1" * 5000 + "/0")  # over the int() digit limit: raised before the zero denominator
+    # an empty term anywhere is named first, then the first bad term
+    @example("1/0 + ")
+    @example(" + 1/2")
+    @example("x + ")
+    @example("+1/2")
+    @example("1" * 5000 + " + ")
+    @example("\u3000 7/10 \u3000")  # the regex \s takes off what str.strip() does
     def test_same_value_or_same_error(self, text):
         assert _outcome(parse_rational, text) == _outcome(reference_parse_rational, text)
 
