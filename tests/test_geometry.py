@@ -668,8 +668,8 @@ lattice_points = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 
 
 class TestSegmentsIntersect:
-    """The lattice predicate on its own: a polygon check reaches its d3
-    branch only after the fold-back or an earlier pair has fired."""
+    """The lattice predicate on its own: no polygon check reaches its d3
+    branch, since the fold-back check or an earlier pair fires first."""
 
     @given(lattice_points, lattice_points, lattice_points, lattice_points, st.integers(1, 12))
     @settings(max_examples=400)
