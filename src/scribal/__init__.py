@@ -73,7 +73,6 @@ from .geometry import (
     triangle_area_two_sides,
 )
 from .rational import (
-    Rational,
     UnitFractionSum,
     parse_rational,
     parse_unit_fraction_sum,

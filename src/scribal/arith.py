@@ -265,16 +265,13 @@ class _BestCandidate:
 
     def offer(self, dens: tuple[int, ...]) -> None:
         largest = dens[-1]
-        # below y_floor the largest has fewer divisors than the best's
-        if largest < self.y_floor:
-            return
         if self.rich:
             divisors = math.prod(e + 1 for e in _factorize_small(largest).values())
             key = (-divisors, largest, dens)
         else:
             key = (largest, dens)
         if self.key is None or key < self.key:
-            if self.rich and (self.key is None or key[0] != self.key[0]):
+            if self.rich:
                 self.y_floor = _divisor_floor(divisors, self.record_limit)
             self.key = key
 
@@ -310,7 +307,7 @@ class _Merged:
     is in no set, so the groups stay disjoint."""
 
     __slots__ = ("best", "q", "term", "path")
-    y_floor = 0  # no floor for the leaf: the best's offer drops what is below its own
+    y_floor = 0  # no floor for the leaf: the best's key comparison drops the forms below its own
 
     def __init__(self, best: _BestCandidate, q: int, term: int, path: tuple[int, ...]):
         self.best = best
@@ -372,14 +369,15 @@ class _Search:
         if slack <= 0:
             return
         lo = max(d_min, -(-b * max_den // slack))
+        if lo > hi:
+            return
         if t == 2:
             # the leaf: all x < y with 1/x + 1/y = a/b. lo keeps y <= max_den,
-            # and y >= y_floor forces x <= b*y_floor/(a*y_floor - b)
+            # and y >= y_floor forces x <= b*y_floor/(a*y_floor - b). A window
+            # that this empties has hi - lo < 0 and an empty scan range.
             y_floor = best.y_floor
             if a * y_floor > b:
                 hi = min(hi, b * y_floor // (a * y_floor - b))
-            if lo > hi:
-                return
             if hi - lo >= _SCAN_WIDTH:
                 factors = _child_factors(factors, d, g, max_den)
                 # Every solution is x = j*b/n, y = j*b/m for coprime m < n
@@ -406,8 +404,6 @@ class _Search:
                     x, y = (e + b) // a, (bb // e + b) // a
                     if x < y:
                         best.offer(path + (x, y))
-            return
-        if lo > hi:
             return
         factors = _child_factors(factors, d, g, max_den)
         # b divides the lcm of the terms, so a prime power r**e of b past
@@ -445,10 +441,7 @@ class _Search:
             if nb * s_den < best.y_floor * (na * s_den - nb * s_num):
                 break
             g = math.gcd(na, nb)
-            if g > 1:
-                na //= g
-                nb //= g
-            node(na, nb, factors, path + (d,), t - 1, d + 1, d, g)
+            node(na // g, nb // g, factors, path + (d,), t - 1, d + 1, d, g)
 
     def split(
         self, a: int, b: int, factors: dict[int, int], p: int, q: int, path: tuple[int, ...], d_min: int
@@ -530,7 +523,9 @@ def _shortest(
     if rest:
         searches.insert(0, (True, *rest, 1))
     max_den = policy.max_denominator
-    for k in range(1, policy.max_terms + 1):
+    # k terms of at least 1/max_den, 2/3 among them or not, sum to at least
+    # k/max_den, so no form of a/b has more than a*max_den // b terms
+    for k in range(1, min(policy.max_terms, a * max_den // b) + 1):
         for marker, a0, b0, used in searches:
             t = k - used
             if t == 1 and a0 == 1 and b0 <= max_den:

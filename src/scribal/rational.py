@@ -1,9 +1,8 @@
 """Exact rational numbers and the unit-fraction sums the scribes wrote.
 
-Every quantity in this package is a ``fractions.Fraction`` (re-exported as
-``Rational``), so arithmetic is exact and results are always in canonical
-form: positive denominator, numerator and denominator coprime. No float
-ever enters a computation here.
+Every quantity in this package is a ``fractions.Fraction``, so arithmetic
+is exact and results are always in canonical form: positive denominator,
+numerator and denominator coprime. No float ever enters a computation here.
 
 ``UnitFractionSum`` is the scribal notation for a value: a whole part, an
 optional 2/3 term (the one non-unit fraction the notation treats as a
@@ -16,8 +15,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
-
-Rational = Fraction
 
 # one term between "+" signs, with the whitespace str.strip() takes off
 _TERM_RE = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*")
@@ -110,7 +107,7 @@ class UnitFractionSum:
         )
 
     def value(self) -> Fraction:
-        """The exact Rational this notation denotes."""
+        """The exact Fraction this notation denotes."""
         # sum over plain integers; one Fraction, reduced once, at the end
         num, den = self.integer_part, 1
         if self.two_thirds:

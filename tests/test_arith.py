@@ -528,15 +528,13 @@ class TestIncumbentFloor:
         best.offer((2, 60))
         assert best.y_floor == 0
 
-    def test_offer_below_the_floor_factors_nothing(self):
+    def test_offer_below_the_floor_loses(self):
         # a largest term below y_floor has fewer divisors than the best's,
-        # so offer drops the form before it factors that term
+        # so its key is larger and the best and its floor stay
         best = _BestCandidate(DecompositionPolicy(max_denominator=100))
         best.offer((5, 60))
-        with mock.patch.object(arith, "_factorize_small", wraps=arith._factorize_small) as factor:
-            best.offer((3, 59))
-            best.offer((2, 4, 48))
-        factor.assert_not_called()
+        best.offer((3, 59))
+        best.offer((2, 4, 48))
         assert (best.key[-1], best.y_floor) == ((5, 60), 60)
 
 
@@ -1115,10 +1113,10 @@ class TestRootFactors:
         assert len(qs) == 740
 
     def test_cofactor_past_max_den_ends_at_the_root(self):
-        # 100003*1009 holds no prime up to 1000, so nothing fits: the
-        # search at two, three and four terms is one node each
+        # 100003*1009 holds no prime up to 1000, so nothing fits; the value
+        # is below 1/1000, so no term count is searched at all
         policy = DecompositionPolicy(max_terms=4, max_denominator=1000)
-        assert node_term_counts(F(7, 2 * 3 * 100003 * 1009), policy) == [2, 3, 4]
+        assert node_term_counts(F(7, 2 * 3 * 100003 * 1009), policy) == []
 
     def test_root_past_ten_to_the_eight_is_factored(self):
         # b = 10**8 + 1 = 17*5882353 and the prime b = 10**9 + 7, each with
@@ -1131,13 +1129,13 @@ class TestRootFactors:
             assert node_term_counts(F(a, b), policy) == [2, 3, 4], a
 
     def test_empty_window_factors_nothing(self):
-        # 3/(10**15 + 37) at max_den = 10**7 leaves every root's window
-        # empty, so its denominator, whose factoring takes 0.8-0.9 s, is
-        # never factored
+        # 3/(10**15 + 37) at max_den = 10**7 is below 1/max_den, so no
+        # root is searched and its denominator, whose factoring takes
+        # 0.8-0.9 s, is never factored
         b = 10**15 + 37
         policy = DecompositionPolicy(max_terms=4, max_denominator=10**7)
         with mock.patch.object(arith, "_factorize_small", wraps=arith._factorize_small) as factor:
-            assert node_term_counts(F(3, b), policy) == [2, 3, 4]
+            assert node_term_counts(F(3, b), policy) == []
         assert b not in [call.args[0] for call in factor.call_args_list]
 
     def test_matches_the_fully_factored_search(self):
@@ -1330,9 +1328,16 @@ class TestIntegerFrontEnd:
             decompose(0)
 
     def test_3_9973_builds_no_child_factors(self):
-        # 1/d + three terms of at least 1/10000 exceed 3/9973 for every d in
-        # the root's window, so the slack check ends the search at its root
-        assert node_term_counts(F(3, 9973), DEFAULT_POLICY) == [2, 3, 4]
+        # 3/9973 holds at most three terms of at least 1/10000, so no
+        # four-term search runs, and neither root builds a child node
+        assert node_term_counts(F(3, 9973), DEFAULT_POLICY) == [2, 3]
+
+    def test_term_count_stops_at_what_the_value_holds(self):
+        # k terms of at least 1/max_den sum to at least k/max_den: past
+        # a*max_den // b terms nothing is searched, whatever max_terms
+        policy = DecompositionPolicy(max_terms=50)
+        assert node_term_counts(F(1, 10001), policy) == []
+        assert node_term_counts(F(3, 9973), policy) == [2, 3]
 
 
 def test_benchmark_search_golden():

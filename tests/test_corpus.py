@@ -434,6 +434,9 @@ class TestErrorSummary:
                     ReplayVerdict("b", "hau", NO_RECORDED_ANSWER, F(1), None, None)]
         summary = error_summary(verdicts)
         assert (summary.largest_deviation_id, summary.largest_deviation) == (None, None)
+        assert "largest deviation" not in render_report(verdicts, "text")
+        doc = json.loads(render_report(verdicts, "json"))["summary"]
+        assert (doc["largest_deviation"], doc["largest_deviation_id"]) == (None, None)
 
     @given(_verdicts, st.randoms(use_true_random=False))
     def test_any_order_gives_the_reference_summary(self, verdicts, rng):
