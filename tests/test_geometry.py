@@ -363,7 +363,6 @@ class TestGerbertRule:
         report = gerbert_isoceles_area(5, 0)
         assert report.historical == 0 and report.exact == 0
         assert report.relative_error is None
-        # no relative error of an exact 0 is shown
         assert "rel error:" not in report.render()
         assert report.as_dict()["rel_error"] is None
 
